@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dpta_core::Method;
 use dpta_spatial::{Aabb, GridPartition};
 use dpta_stream::{
-    run_sharded_with, ArrivalModel, ArrivalStream, ShardStrategy, StreamConfig, StreamDriver,
+    run_sharded, ArrivalModel, ArrivalStream, ShardStrategy, StreamConfig, StreamDriver,
     StreamScenario, WindowPolicy,
 };
 use dpta_workloads::{Dataset, Scenario};
@@ -73,7 +73,7 @@ fn halo_sharding(c: &mut Criterion) {
                 &stream,
                 |b, stream| {
                     b.iter(|| {
-                        black_box(run_sharded_with(
+                        black_box(run_sharded(
                             engine.as_ref(),
                             black_box(stream),
                             &cfg,

@@ -26,8 +26,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dpta_core::{Method, Task, Worker};
 use dpta_spatial::{Aabb, GridPartition, Point};
 use dpta_stream::{
-    run_sharded, ArrivalEvent, ArrivalStream, StreamConfig, StreamDriver, TaskArrival,
-    WindowPolicy, WorkerArrival,
+    run_sharded, ArrivalEvent, ArrivalStream, ShardStrategy, StreamConfig, StreamDriver,
+    TaskArrival, WindowPolicy, WorkerArrival,
 };
 use std::hint::black_box;
 use std::time::Duration;
@@ -131,7 +131,15 @@ fn scale_sweep(c: &mut Criterion) {
             BenchmarkId::new("sharded4x4", format!("n{n}")),
             &stream,
             |b, stream| {
-                b.iter(|| black_box(run_sharded(engine.as_ref(), black_box(stream), &cfg, &part)))
+                b.iter(|| {
+                    black_box(run_sharded(
+                        engine.as_ref(),
+                        black_box(stream),
+                        &cfg,
+                        &part,
+                        ShardStrategy::DropPairs,
+                    ))
+                })
             },
         );
     }

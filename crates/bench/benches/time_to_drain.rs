@@ -6,8 +6,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dpta_core::Method;
 use dpta_spatial::{Aabb, GridPartition};
 use dpta_stream::{
-    run_sharded, ArrivalModel, ArrivalStream, StreamConfig, StreamDriver, StreamScenario,
-    WindowPolicy,
+    run_sharded, ArrivalModel, ArrivalStream, ShardStrategy, StreamConfig, StreamDriver,
+    StreamScenario, WindowPolicy,
 };
 use dpta_workloads::{Dataset, Scenario};
 use std::hint::black_box;
@@ -78,7 +78,15 @@ fn time_to_drain(c: &mut Criterion) {
         BenchmarkId::new("PUCE", "time300s_sharded2x2"),
         &stream,
         |b, stream| {
-            b.iter(|| black_box(run_sharded(engine.as_ref(), black_box(stream), &cfg, &part)))
+            b.iter(|| {
+                black_box(run_sharded(
+                    engine.as_ref(),
+                    black_box(stream),
+                    &cfg,
+                    &part,
+                    ShardStrategy::DropPairs,
+                ))
+            })
         },
     );
     group.finish();

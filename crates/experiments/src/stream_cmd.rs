@@ -13,8 +13,8 @@
 use dpta_core::{AssignmentEngine, Method, Task, Worker};
 use dpta_spatial::{Aabb, GridPartition, Point};
 use dpta_stream::{
-    run_sharded, run_sharded_halo, AdaptivePolicy, ArrivalEvent, ArrivalModel, ArrivalStream,
-    LedgerMode, Outcome, PacingConfig, ServiceModel, SessionSnapshot, StreamConfig, StreamDriver,
+    run_sharded, AdaptivePolicy, ArrivalEvent, ArrivalModel, ArrivalStream, LedgerMode, Outcome,
+    PacingConfig, ServiceModel, SessionSnapshot, ShardStrategy, StreamConfig, StreamDriver,
     StreamReport, StreamScenario, StreamSession, TaskArrival, TaskFate, WindowPolicy,
     WorkerArrival,
 };
@@ -690,7 +690,7 @@ fn merged_fates(report: &dpta_stream::ShardedReport) -> Vec<(u32, TaskFate)> {
 /// fate; (2) recovered utility — on a boundary-crossing stream the
 /// halo must strictly beat drop-pairs sharding. Returns `false` when
 /// either gate fails.
-fn run_halo_section(
+fn halo_section(
     methods: &[Method],
     cfg: &StreamConfig,
     part: &GridPartition,
@@ -702,7 +702,7 @@ fn run_halo_section(
     for &method in methods {
         let engine = method.engine(&cfg.params);
         let flat = StreamDriver::new(engine.as_ref(), cfg.clone()).run(disjoint);
-        let halo = run_sharded_halo(engine.as_ref(), disjoint, cfg, part);
+        let halo = run_sharded(engine.as_ref(), disjoint, cfg, part, ShardStrategy::Halo);
         let flat_fates: Vec<(u32, TaskFate)> = flat.fates.iter().map(|(&id, &f)| (id, f)).collect();
         let agree = merged_fates(&halo) == flat_fates
             && (halo.total_utility() - flat.total_utility()).abs() < 1e-9;
@@ -731,8 +731,14 @@ fn run_halo_section(
     for &method in methods {
         let engine = method.engine(&cfg.params);
         let flat = StreamDriver::new(engine.as_ref(), cfg.clone()).run(&crossing);
-        let dropped = run_sharded(engine.as_ref(), &crossing, cfg, part);
-        let halo = run_sharded_halo(engine.as_ref(), &crossing, cfg, part);
+        let dropped = run_sharded(
+            engine.as_ref(),
+            &crossing,
+            cfg,
+            part,
+            ShardStrategy::DropPairs,
+        );
+        let halo = run_sharded(engine.as_ref(), &crossing, cfg, part, ShardStrategy::Halo);
         let lost = flat.total_utility() - dropped.total_utility();
         let recovered = if lost > 1e-12 {
             (halo.total_utility() - dropped.total_utility()) / lost
@@ -932,7 +938,13 @@ pub fn run(args: &StreamArgs) -> bool {
     for &method in &args.methods {
         let engine = method.engine(&cfg.params);
         let flat = StreamDriver::new(engine.as_ref(), cfg.clone()).run(&disjoint);
-        let sharded = run_sharded(engine.as_ref(), &disjoint, &cfg, &part);
+        let sharded = run_sharded(
+            engine.as_ref(),
+            &disjoint,
+            &cfg,
+            &part,
+            ShardStrategy::DropPairs,
+        );
         let agree = sharded.matched() == flat.matched()
             && (sharded.total_utility() - flat.total_utility()).abs() < 1e-9;
         all_match &= agree;
@@ -951,7 +963,7 @@ pub fn run(args: &StreamArgs) -> bool {
     }
 
     if args.halo {
-        all_match &= run_halo_section(&args.methods, &cfg, &part, &disjoint);
+        all_match &= halo_section(&args.methods, &cfg, &part, &disjoint);
     }
     if coerced && args.strict {
         println!(
@@ -1121,7 +1133,13 @@ mod tests {
             ..StreamConfig::default()
         };
         let engine = Method::Grd.engine(&count_cfg.params);
-        let sharded = run_sharded(engine.as_ref(), &stream, &count_cfg, &part);
+        let sharded = run_sharded(
+            engine.as_ref(),
+            &stream,
+            &count_cfg,
+            &part,
+            ShardStrategy::DropPairs,
+        );
         assert!(
             sharded.warnings().iter().any(|w| w.contains("shard-local")),
             "count windows under drop-pairs must warn about misalignment"
@@ -1131,7 +1149,13 @@ mod tests {
             policy: WindowPolicy::ByTime { width: 300.0 },
             ..StreamConfig::default()
         };
-        let sharded = run_sharded(engine.as_ref(), &stream, &time_cfg, &part);
+        let sharded = run_sharded(
+            engine.as_ref(),
+            &stream,
+            &time_cfg,
+            &part,
+            ShardStrategy::DropPairs,
+        );
         assert!(sharded.warnings().is_empty());
     }
 

@@ -352,6 +352,22 @@ impl Default for StreamConfig {
 }
 
 impl StreamConfig {
+    /// The invariants every driver and session checks at construction:
+    /// a positive TTL, a non-empty budget group, a positive capacity and
+    /// a well-formed service model. Panics on a violation.
+    pub(crate) fn assert_valid(&self) {
+        assert!(self.task_ttl >= 1, "task_ttl must be at least 1");
+        assert!(
+            self.budget_group_size >= 1,
+            "budget group must be non-empty"
+        );
+        assert!(
+            self.worker_capacity > 0.0,
+            "worker_capacity must be positive"
+        );
+        self.service.validate();
+    }
+
     /// A configuration inheriting `scenario`'s seed and privacy-budget
     /// settings (draw range, group size `Z`), every other knob at its
     /// default.
@@ -773,8 +789,8 @@ pub(crate) struct PendingTask {
 /// Drives an arrival stream through one assignment engine.
 ///
 /// The driver borrows the engine — engines are immutable `Send + Sync`
-/// config holders, so the sharded runner can point many drivers at one
-/// boxed engine concurrently.
+/// config holders, so many drivers and sessions can share one boxed
+/// engine concurrently.
 ///
 /// This is the batch-shaped convenience over the push-based
 /// [`StreamSession`](crate::StreamSession): [`run`](StreamDriver::run)
@@ -814,13 +830,7 @@ impl<'e> StreamDriver<'e> {
     /// Creates a driver for `engine` under `cfg`. Panics on degenerate
     /// configuration (zero TTL or an empty budget group).
     pub fn new(engine: &'e dyn AssignmentEngine, cfg: StreamConfig) -> Self {
-        assert!(cfg.task_ttl >= 1, "task_ttl must be at least 1");
-        assert!(cfg.budget_group_size >= 1, "budget group must be non-empty");
-        assert!(
-            cfg.worker_capacity > 0.0,
-            "worker_capacity must be positive"
-        );
-        cfg.service.validate();
+        cfg.assert_valid();
         StreamDriver { engine, cfg }
     }
 

@@ -7,7 +7,8 @@
 //! downstream stage (windowing, driving, sharding) consumes.
 
 use dpta_core::{Task, Worker};
-use dpta_spatial::GridPartition;
+use dpta_dp::Interner;
+use dpta_spatial::{GridPartition, Point};
 use serde::{Deserialize, Serialize};
 
 /// A task arriving at `time` with a stable logical id.
@@ -98,12 +99,62 @@ impl ArrivalEvent {
         }
     }
 
+    /// Where the entity is.
+    pub(crate) fn location(&self) -> Point {
+        match self {
+            ArrivalEvent::Worker(w) => w.worker.location,
+            ArrivalEvent::Task(t) => t.task.location,
+        }
+    }
+
     pub(crate) fn id(&self) -> u32 {
         match self {
             ArrivalEvent::Worker(w) => w.id,
             ArrivalEvent::Task(t) => t.id,
         }
     }
+}
+
+/// The arrival contract every session enforces on `push`: a finite,
+/// non-negative time at or above the `watermark`, a finite location, a
+/// finite, non-negative task value or worker radius (what `Task::new`
+/// and `Worker::new` check, and public fields bypass), and an id unique
+/// per entity kind, recorded in `task_ids` / `worker_ids`. Panics on a
+/// violation.
+pub(crate) fn check_arrival(
+    event: &ArrivalEvent,
+    watermark: f64,
+    task_ids: &mut Interner,
+    worker_ids: &mut Interner,
+) {
+    let t = event.time();
+    assert!(
+        t.is_finite() && t >= 0.0,
+        "arrival time must be finite and >= 0, got {t}"
+    );
+    assert!(
+        t >= watermark,
+        "late arrival: event at t = {t} is below the watermark {watermark} \
+         (its window may already be driven)"
+    );
+    let at = event.location();
+    assert!(
+        at.x.is_finite() && at.y.is_finite(),
+        "arrival location must be finite, got {at:?}"
+    );
+    let (field, size, seen) = match event {
+        ArrivalEvent::Task(a) => ("task value", a.task.value, task_ids),
+        ArrivalEvent::Worker(a) => ("worker radius", a.worker.radius, worker_ids),
+    };
+    assert!(
+        size.is_finite() && size >= 0.0,
+        "{field} must be finite and >= 0, got {size}"
+    );
+    let seen_before = seen.len();
+    assert!(
+        seen.intern(u64::from(event.id())) as usize == seen_before,
+        "arrival ids must be unique per entity kind"
+    );
 }
 
 /// A validated, time-ordered arrival log.
@@ -199,23 +250,6 @@ impl ArrivalStream {
         self.events.last().map_or(0.0, ArrivalEvent::time)
     }
 
-    /// Splits the stream into one sub-stream per shard of `partition`,
-    /// routing every event to the shard owning its location. The
-    /// concatenation of the shards is a permutation of the original
-    /// stream; relative event order within a shard is preserved.
-    pub fn shard(&self, partition: &GridPartition) -> Vec<ArrivalStream> {
-        let mut shards: Vec<Vec<ArrivalEvent>> = vec![Vec::new(); partition.n_shards()];
-        for e in &self.events {
-            let loc = match e {
-                ArrivalEvent::Worker(w) => w.worker.location,
-                ArrivalEvent::Task(t) => t.task.location,
-            };
-            shards[partition.shard_of(&loc)].push(*e);
-        }
-        // Sub-streams of a sorted stream are sorted; `new` re-validates.
-        shards.into_iter().map(ArrivalStream::new).collect()
-    }
-
     /// Whether every worker's service disc lies strictly inside its
     /// shard cell — the precondition under which sharded and unsharded
     /// execution agree exactly (no feasible pair ever crosses a shard
@@ -284,11 +318,13 @@ mod tests {
             task(0, 1.0, 2.0),
             task(1, 2.0, 8.0),
         ]);
-        let shards = s.shard(&part);
-        assert_eq!(shards.len(), 2);
-        assert_eq!(shards[0].n_tasks(), 1);
-        assert_eq!(shards[0].n_workers(), 1);
-        assert_eq!(shards[1].n_tasks(), 1);
+        // Sorted by time, workers first: one worker and one task per cell.
+        let cells: Vec<usize> = s
+            .events()
+            .iter()
+            .map(|e| part.shard_of(&e.location()))
+            .collect();
+        assert_eq!(cells, vec![0, 1, 0, 1]);
         assert!(s.is_shard_disjoint(&part));
         // A worker whose disc crosses the x = 5 boundary breaks it.
         let crossing = ArrivalStream::new(vec![worker(2, 0.0, 4.9, 1.0)]);

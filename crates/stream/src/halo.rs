@@ -82,11 +82,14 @@
 //! [`ReleaseDedup`]: crate::driver::ReleaseDedup
 
 use crate::driver::{novel_ledger_spend, IdStableNoise, PendingTask, ReleaseDedup, StreamConfig};
-use crate::event::{ArrivalStream, WorkerArrival};
+use crate::event::WorkerArrival;
 use crate::metrics::{ShardedReport, StreamReport, TaskFate, WindowCutDecision, WindowReport};
-use crate::session::{PaceState, StepSignals};
+use crate::session::{
+    admit_tasks, refresh_pacing, retire_exhausted, waiting_ages, PaceState, StepSignals,
+};
+use crate::shard::parallel_map;
 use crate::snapshot::SnapshotError;
-use crate::window::{Window, WindowPolicy, Windower};
+use crate::window::Window;
 use dpta_core::board::LOCATION_RELEASE;
 use dpta_core::{AssignmentEngine, Board, DeltaInstance, Instance, RunOutcome};
 use dpta_dp::{BudgetLedger, FastMap, LedgerState, SeededNoise};
@@ -215,38 +218,12 @@ struct Membership {
     reach: Vec<usize>,
 }
 
-/// Drives `stream` under the halo protocol (see the module docs) and
-/// returns one [`StreamReport`] per shard. Fates, arrivals and spend
-/// are attributed to the entity's *home* shard, so per-shard
-/// conservation holds and the merged totals are globally correct;
-/// matches (and their utility) land on the shard owning the task, which
-/// is always the shard that claimed it.
-pub(crate) fn run_halo(
-    engine: &dyn AssignmentEngine,
-    stream: &ArrivalStream,
-    cfg: &StreamConfig,
-    partition: &GridPartition,
-) -> ShardedReport {
-    // The halo coordinator always windows the *merged global* stream,
-    // so the adaptive controller (like count windows) aligns across
-    // shards by construction; its feedback is computed from the global
-    // pool/pending state inside the stepper, mirroring the unsharded
-    // driver.
-    let mut former = Windower::new(cfg.policy, stream, cfg.horizon);
-    let mut core = HaloCore::new(engine, cfg.clone(), partition.n_shards());
-    while let Some(window) = former.next_window() {
-        let cut = former.last_decision();
-        let signals = core.step_window(partition, &window, cut);
-        if former.needs_feedback() {
-            former.observe(&StepSignals::merge(std::slice::from_ref(&signals)));
-        }
-    }
-    core.finish(partition)
-}
-
 /// The halo coordinator's cross-window state, stepped one globally
-/// formed window at a time. [`run_halo`] drains a pre-built stream
-/// through it; the sharded session drives it from a push windower, and
+/// formed window at a time. Fates, arrivals and spend are attributed to
+/// the entity's *home* shard, so per-shard conservation holds and the
+/// merged totals are globally correct; matches (and their utility) land
+/// on the shard owning the task, which is always the shard that claimed
+/// it. The sharded session drives it from the global windower, and
 /// [`HaloCore::snapshot`] / [`HaloCore::from_snapshot`] make a mid-run
 /// coordinator durable — a restored shard re-enters reconciliation
 /// coherently because the whole protocol state (pool, pending,
@@ -430,64 +407,17 @@ impl<'e> HaloCore<'e> {
             arrived_by_shard[home] += 1;
         }
         // Admission control: the session stepper's rule over the global
-        // pool — admit only what the aggregate remaining budget could
-        // serve, oldest deferral first. (The coordinator keeps no
-        // outcome log; the per-shard `tasks_deferred` counters carry
-        // the observability.)
-        let admitted: Vec<(PendingTask, bool)> = match cfg.admission {
-            Some(ac) => {
-                let mut aggregate = 0.0f64;
-                for w in pool.iter() {
-                    aggregate += ledger.remaining(u64::from(w.id));
-                }
-                let serveable = if aggregate.is_finite() {
-                    (aggregate / ac.epsilon_per_task) as usize
-                } else {
-                    usize::MAX
-                };
-                let mut allowed = serveable.saturating_sub(pending.len());
-                let waiting: Vec<PendingTask> = deferred.drain(..).collect();
-                let mut admitted = Vec::with_capacity(waiting.len() + window.tasks.len());
-                for (p, fresh) in
-                    waiting
-                        .into_iter()
-                        .map(|p| (p, false))
-                        .chain(window.tasks.iter().map(|&arrival| {
-                            (
-                                PendingTask {
-                                    arrival,
-                                    ttl: cfg.task_ttl,
-                                },
-                                true,
-                            )
-                        }))
-                {
-                    if allowed > 0 {
-                        allowed -= 1;
-                        admitted.push((p, fresh));
-                    } else {
-                        if fresh {
-                            deferred_by_shard[task_home_of(partition, &p)] += 1;
-                        }
-                        deferred.push_back(p);
-                    }
-                }
-                admitted
-            }
-            None => window
-                .tasks
-                .iter()
-                .map(|&arrival| {
-                    (
-                        PendingTask {
-                            arrival,
-                            ttl: cfg.task_ttl,
-                        },
-                        true,
-                    )
-                })
-                .collect(),
-        };
+        // pool. (The coordinator keeps no outcome log; the per-shard
+        // `tasks_deferred` counters carry the observability.)
+        let admitted = admit_tasks(
+            cfg,
+            ledger,
+            pool,
+            pending.len(),
+            deferred,
+            &window.tasks,
+            |p| deferred_by_shard[task_home_of(partition, p)] += 1,
+        );
         for &(p, fresh) in &admitted {
             let home = task_home_of(partition, &p);
             if !fresh {
@@ -501,14 +431,7 @@ impl<'e> HaloCore<'e> {
         // Observed stream state at window close (identical to the
         // unsharded driver's: one global pending list, same formula).
         // Static policies never read it, so skip the allocation there.
-        let ages: Vec<f64> = if matches!(cfg.policy, WindowPolicy::Adaptive(_)) {
-            pending
-                .iter()
-                .map(|p| window.end - p.arrival.time)
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let ages = waiting_ages(&cfg.policy, pending, window.end);
 
         // Per-window id → index maps (pool and pending are frozen for
         // the duration of the reconciliation loop).
@@ -681,15 +604,21 @@ impl<'e> HaloCore<'e> {
             }
             if !prepared.is_empty() || !sub_driven.is_empty() {
                 // Uncapped: inputs were fixed above, so the full drives
-                // can fan out over a bounded thread pool without
-                // changing the result; sub-drives already ran inline.
+                // can fan out over the crate's thread pool, heaviest
+                // first, without changing the result; sub-drives
+                // already ran inline.
                 // Charge accounting stays sequential in ascending shard
                 // order so the dedup set is deterministic.
-                let mut driven: Vec<(usize, ShardRun, Duration, bool)> =
-                    drive_parallel(engine, cfg, prepared)
-                        .into_iter()
-                        .map(|(k, run, dt)| (k, run, dt, false))
-                        .collect();
+                let mut driven: Vec<(usize, ShardRun, Duration, bool)> = parallel_map(
+                    prepared,
+                    |p| p.inst.feasible_pairs(),
+                    None,
+                    |p| {
+                        let k = p.shard;
+                        let (run, dt) = drive_prepared(engine, cfg, p);
+                        (k, run, dt, false)
+                    },
+                );
                 driven.extend(
                     sub_driven
                         .into_iter()
@@ -883,32 +812,8 @@ impl<'e> HaloCore<'e> {
                 }
             }
         }
-        // Sliding-window (renewable) accounting never retires — an
-        // exhausted worker idles behind the guard until old charges age
-        // out. An infinite protection window is not renewable, so
-        // `Windowed { window_secs: ∞ }` retires exactly like lifetime
-        // accounting.
-        let renewable = ledger.renewable();
-        let mut retired: BTreeSet<u64> = if renewable {
-            BTreeSet::new()
-        } else {
-            ledger.drain_exhausted().into_iter().collect()
-        };
-        if !renewable && capped {
-            // Mirror the unsharded driver: under a hard cap a worker is
-            // effectively exhausted once his remaining budget cannot
-            // cover even the cheapest possible release.
-            for w in pool.iter() {
-                let id = u64::from(w.id);
-                if !committed_workers.contains(&w.id)
-                    && !retired.contains(&id)
-                    && ledger.remaining(id) + 1e-12 < cfg.budget_range.0
-                {
-                    ledger.forget(id);
-                    retired.insert(id);
-                }
-            }
-        }
+        let retired =
+            retire_exhausted(ledger, pool, &committed_workers, capped, cfg.budget_range.0);
         // An in-service worker can exhaust his budget at the very match
         // that sent him out: he finishes the trip but retires instead
         // of returning (the session stepper's rule). Home shards come
@@ -973,22 +878,8 @@ impl<'e> HaloCore<'e> {
         for p in pending.iter() {
             reports[task_home_of(partition, p)].carried_out += 1;
         }
-        // Refresh the pacing forecast from this window's realized
-        // spend (clamped at zero: window-`W` reclamation shrinking the
-        // recorded spend is not negative burn).
         if cfg.pacing.is_some() {
-            let tracked = ledger.tracked_ids();
-            for &id in &tracked {
-                let spent = ledger.spent(id);
-                let st = pace.entry(id as u32).or_insert(PaceState {
-                    last_spent: 0.0,
-                    ema: 0.0,
-                });
-                let burned = (spent - st.last_spent).max(0.0);
-                st.ema = 0.5 * st.ema + 0.5 * burned;
-                st.last_spent = spent;
-            }
-            pace.retain(|&id, _| tracked.binary_search(&u64::from(id)).is_ok());
+            refresh_pacing(ledger, pace);
         }
         for (k, report) in reports.into_iter().enumerate() {
             shard_windows[k].push(report);
@@ -1466,55 +1357,6 @@ fn drive_prepared(
         },
         dt,
     )
-}
-
-/// Fans a pass's prepared runs over a bounded scoped-thread pool and
-/// returns `(shard, run, wall time)` tuples in completion order.
-fn drive_parallel(
-    engine: &dyn AssignmentEngine,
-    cfg: &StreamConfig,
-    prepared: Vec<PreparedRun>,
-) -> Vec<(usize, ShardRun, Duration)> {
-    let threads = prepared.len().min(
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(8),
-    );
-    if threads <= 1 {
-        return prepared
-            .into_iter()
-            .map(|p| {
-                let k = p.shard;
-                let (run, dt) = drive_prepared(engine, cfg, p);
-                (k, run, dt)
-            })
-            .collect();
-    }
-    let mut buckets: Vec<Vec<PreparedRun>> = (0..threads).map(|_| Vec::new()).collect();
-    for (i, p) in prepared.into_iter().enumerate() {
-        buckets[i % threads].push(p);
-    }
-    std::thread::scope(|s| {
-        let handles: Vec<_> = buckets
-            .into_iter()
-            .map(|bucket| {
-                s.spawn(move || {
-                    bucket
-                        .into_iter()
-                        .map(|p| {
-                            let k = p.shard;
-                            let (run, dt) = drive_prepared(engine, cfg, p);
-                            (k, run, dt)
-                        })
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("halo shard thread panicked"))
-            .collect()
-    })
 }
 
 /// Reserves the run's *novel* releases against the lifetime accountant.

@@ -32,14 +32,16 @@
 //!   service duration (serve-and-leave is `ServiceModel::Never`);
 //! * [`StreamDriver`] — the batch-shaped drain loop over the session:
 //!   replays a pre-built stream to completion;
-//! * [`run_sharded`] / [`run_sharded_halo`] — partition the stream by
+//! * [`ShardedSession`] / [`run_sharded`] — partition the stream by
 //!   spatial grid cell
 //!   ([`GridPartition`](dpta_spatial::GridPartition)) and run one
-//!   engine per shard on scoped threads. Drop-pairs mode is exact on
-//!   shard-disjoint input; the boundary-halo protocol
-//!   ([`ShardStrategy::Halo`]) additionally recovers cross-boundary
-//!   pairs via halo membership and a deterministic reconciliation
-//!   pass, staying near-exact on general input.
+//!   engine per shard. `run_sharded` is `push* → close` over a
+//!   `ShardedSession`, the one sharded execution path. Drop-pairs mode
+//!   ([`ShardStrategy::DropPairs`]) is exact on shard-disjoint input;
+//!   the boundary-halo protocol ([`ShardStrategy::Halo`]) additionally
+//!   recovers cross-boundary pairs via halo membership and a
+//!   deterministic reconciliation pass, staying near-exact on general
+//!   input.
 //!
 //! Everything is deterministic in the seed: budget vectors and noise
 //! draws are keyed by *logical* entity ids rather than per-window
@@ -97,13 +99,9 @@ pub use driver::{
 };
 pub use event::{ArrivalEvent, ArrivalStream, TaskArrival, WorkerArrival};
 pub use metrics::{
-    percentile, ShardedReport, StreamReport, TaskFate, WindowCutDecision, WindowFeedback,
-    WindowReport,
+    percentile, ShardedReport, StreamReport, TaskFate, WindowCutDecision, WindowReport,
 };
 pub use session::{Outcome, ServiceModel, StreamSession};
-pub use shard::{
-    run_sharded, run_sharded_halo, run_sharded_pooled, run_sharded_with, ShardStrategy,
-    ShardedSession, COUNT_WINDOW_SHARD_WARNING,
-};
+pub use shard::{run_sharded, ShardStrategy, ShardedSession, COUNT_WINDOW_SHARD_WARNING};
 pub use snapshot::{SessionSnapshot, ShardedSnapshot, SnapshotError, SNAPSHOT_VERSION};
-pub use window::{AdaptivePolicy, Window, WindowPolicy, Windower, MAX_WINDOWS};
+pub use window::{AdaptivePolicy, WindowPolicy, MAX_WINDOWS};

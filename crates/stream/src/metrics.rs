@@ -48,14 +48,14 @@ impl WindowCutDecision {
 /// never wall-clock time. That is what keeps adaptive cuts replayable
 /// bit for bit across flat, sharded and halo execution.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WindowFeedback {
+pub(crate) struct WindowFeedback {
     /// p95 of seconds-from-arrival-to-window-close over every task
     /// present in the window (matched, expired or carried alike).
-    pub p95_age: f64,
+    pub(crate) p95_age: f64,
     /// Unserved tasks carried out of the window.
-    pub backlog: usize,
+    pub(crate) backlog: usize,
     /// Workers still on duty after the window settled.
-    pub pool: usize,
+    pub(crate) pool: usize,
 }
 
 /// Nearest-rank percentile of `values` (q in `[0, 1]`); zero when

@@ -18,9 +18,12 @@
 //! * [`close`](StreamSession::close) — drive the remaining windows and
 //!   settle the aggregate [`StreamReport`](crate::StreamReport).
 //!
-//! `StreamDriver::run`, `run_sharded` and `run_sharded_halo` are thin
-//! drain loops over the same stepper ([`SessionCore`]), so every
-//! driving mode shares one set of window/budget/fate semantics.
+//! [`StreamDriver::run`](crate::StreamDriver::run) and
+//! [`run_sharded`](crate::run_sharded) are `push* → close` over this
+//! session and [`ShardedSession`](crate::ShardedSession); flat and
+//! drop-pairs runs step the same [`SessionCore`] behind the crate's one
+//! windower, so every driving mode shares one set of
+//! window/budget/fate semantics.
 //!
 //! # Worker re-entry
 //!
@@ -36,12 +39,12 @@
 //! replay and the flat/drop-pairs/halo equivalence gates.
 
 use crate::driver::{novel_ledger_spend, IdStableNoise, PendingTask, ReleaseDedup, StreamConfig};
-use crate::event::{ArrivalEvent, WorkerArrival};
+use crate::event::{check_arrival, ArrivalEvent, TaskArrival, WorkerArrival};
 use crate::metrics::{
     percentile, StreamReport, TaskFate, WindowCutDecision, WindowFeedback, WindowReport,
 };
 use crate::snapshot::{SessionSnapshot, SnapshotError, SNAPSHOT_VERSION};
-use crate::window::{AdaptiveController, ControllerState, Window, WindowPolicy, MAX_WINDOWS};
+use crate::window::{Window, WindowPolicy, Windower};
 use dpta_core::board::LOCATION_RELEASE;
 use dpta_core::metrics::measure;
 use dpta_core::{AssignmentEngine, Board, DeltaInstance};
@@ -284,8 +287,8 @@ pub(crate) struct CarriedBoard {
 }
 
 /// One window's stream-observable signals, handed back to the adaptive
-/// window controller after the window settles. The sharded runners
-/// merge one per shard into a single global [`WindowFeedback`], which
+/// window controller after the window settles. The lockstep sharded
+/// mode merges one per shard into a single global [`WindowFeedback`], which
 /// is what keeps adaptive cuts identical across flat, drop-pairs and
 /// halo execution.
 pub(crate) struct StepSignals {
@@ -320,8 +323,8 @@ impl StepSignals {
 /// in-service set, lifetime accounting and carried protocol state,
 /// stepped one window at a time. [`StreamSession`] wraps it behind the
 /// push API; [`StreamDriver::run`](crate::StreamDriver::run) drains it
-/// over a whole stream; the sharded runners step one core per shard in
-/// lockstep so a single adaptive controller can window every shard
+/// over a whole stream; the lockstep sharded mode steps one core per
+/// shard so a single adaptive controller can window every shard
 /// identically.
 pub(crate) struct SessionCore<'e> {
     engine: &'e dyn AssignmentEngine,
@@ -398,6 +401,123 @@ pub(crate) struct PaceState {
     pub(crate) last_spent: f64,
     /// Trailing per-window spend estimate, ε per window.
     pub(crate) ema: f64,
+}
+
+/// Admission control, shared by the session stepper and the halo
+/// coordinator. Off (the default), every arrival is admitted on the
+/// spot. With [`StreamConfig::admission`] set, a window admits only as
+/// many tasks as the pool's aggregate remaining budget could plausibly
+/// serve beyond the `carried_in` backlog; the excess waits in
+/// `deferred` (no TTL burned), oldest deferral first. Returns the
+/// admitted tasks in order, each flagged `true` when it is a fresh
+/// arrival rather than a readmitted deferral; `on_defer` sees every
+/// fresh arrival that is deferred.
+pub(crate) fn admit_tasks(
+    cfg: &StreamConfig,
+    ledger: &LedgerState,
+    pool: &[WorkerArrival],
+    carried_in: usize,
+    deferred: &mut VecDeque<PendingTask>,
+    arrivals: &[TaskArrival],
+    mut on_defer: impl FnMut(&PendingTask),
+) -> Vec<(PendingTask, bool)> {
+    let fresh = arrivals.iter().map(|&arrival| {
+        let ttl = cfg.task_ttl;
+        (PendingTask { arrival, ttl }, true)
+    });
+    let Some(ac) = cfg.admission else {
+        return fresh.collect();
+    };
+    let mut aggregate = 0.0f64;
+    for w in pool {
+        aggregate += ledger.remaining(u64::from(w.id));
+    }
+    let serveable = if aggregate.is_finite() {
+        (aggregate / ac.epsilon_per_task) as usize
+    } else {
+        usize::MAX
+    };
+    let mut allowed = serveable.saturating_sub(carried_in);
+    let waiting: Vec<PendingTask> = deferred.drain(..).collect();
+    let mut admitted = Vec::with_capacity(waiting.len() + arrivals.len());
+    for (p, is_fresh) in waiting.into_iter().map(|p| (p, false)).chain(fresh) {
+        if allowed > 0 {
+            allowed -= 1;
+            admitted.push((p, is_fresh));
+        } else {
+            if is_fresh {
+                on_defer(&p);
+            }
+            deferred.push_back(p);
+        }
+    }
+    admitted
+}
+
+/// Refreshes every tracked worker's pacing forecast from the window's
+/// realized spend: an EMA over the per-window spend delta, clamped at
+/// zero (window-`W` reclamation can shrink recorded spend, which is
+/// not negative burn). Shared by the session stepper and the halo
+/// coordinator.
+pub(crate) fn refresh_pacing(ledger: &LedgerState, pace: &mut BTreeMap<u32, PaceState>) {
+    let tracked = ledger.tracked_ids();
+    for &id in &tracked {
+        let spent = ledger.spent(id);
+        let st = pace.entry(id as u32).or_insert(PaceState {
+            last_spent: 0.0,
+            ema: 0.0,
+        });
+        let burned = (spent - st.last_spent).max(0.0);
+        st.ema = 0.5 * st.ema + 0.5 * burned;
+        st.last_spent = spent;
+    }
+    pace.retain(|&id, _| tracked.binary_search(&u64::from(id)).is_ok());
+}
+
+/// Seconds from arrival to window close of every task in `pending` —
+/// the age the window width controls, matched or not. Only the
+/// adaptive controller consumes it, so static policies skip the
+/// allocation.
+pub(crate) fn waiting_ages(policy: &WindowPolicy, pending: &[PendingTask], end: f64) -> Vec<f64> {
+    if !matches!(policy, WindowPolicy::Adaptive(_)) {
+        return Vec::new();
+    }
+    pending.iter().map(|p| end - p.arrival.time).collect()
+}
+
+/// The workers a settled window retires, forgotten by the ledger.
+/// Sliding-window (renewable) accounting never retires: an exhausted
+/// worker idles behind the guard until old charges age out (an infinite
+/// protection window is not renewable, so it retires exactly like
+/// lifetime accounting). Under a hard cap spend never overshoots, so a
+/// pooled worker who did not just depart retires once his remaining
+/// budget cannot cover even the cheapest possible release (`floor`, the
+/// draw range's lower bound). Shared by the session stepper and the
+/// halo coordinator.
+pub(crate) fn retire_exhausted(
+    ledger: &mut LedgerState,
+    pool: &[WorkerArrival],
+    departed: &BTreeSet<u32>,
+    capped: bool,
+    floor: f64,
+) -> BTreeSet<u64> {
+    if ledger.renewable() {
+        return BTreeSet::new();
+    }
+    let mut retired: BTreeSet<u64> = ledger.drain_exhausted().into_iter().collect();
+    if capped {
+        for w in pool {
+            let id = u64::from(w.id);
+            if !departed.contains(&w.id)
+                && !retired.contains(&id)
+                && ledger.remaining(id) + 1e-12 < floor
+            {
+                ledger.forget(id);
+                retired.insert(id);
+            }
+        }
+    }
+    retired
 }
 
 impl<'e> SessionCore<'e> {
@@ -576,77 +696,32 @@ impl<'e> SessionCore<'e> {
                 });
             self.pool.push(*w);
         }
-        // Admission control: when configured, the window admits only as
-        // many tasks as the pool's aggregate remaining budget could
-        // plausibly serve; the excess waits outside the window (no TTL
-        // burned), oldest deferral first. Off (the default), every
-        // arrival is admitted on the spot.
         let carried_in_now = self.pending.len();
         let mut deferred_now = 0usize;
+        let admitted = admit_tasks(
+            &self.cfg,
+            &self.ledger,
+            &self.pool,
+            carried_in_now,
+            &mut self.deferred,
+            &window.tasks,
+            |p| {
+                deferred_now += 1;
+                self.outcomes.push_back(Outcome::Deferred {
+                    task: p.arrival.id,
+                    window: window.index,
+                });
+            },
+        );
         let mut readmitted_now = 0usize;
-        let admitted: Vec<PendingTask> = match self.cfg.admission {
-            Some(ac) => {
-                let mut aggregate = 0.0f64;
-                for w in &self.pool {
-                    aggregate += self.ledger.remaining(u64::from(w.id));
-                }
-                let serveable = if aggregate.is_finite() {
-                    (aggregate / ac.epsilon_per_task) as usize
-                } else {
-                    usize::MAX
-                };
-                let mut allowed = serveable.saturating_sub(carried_in_now);
-                let waiting: Vec<PendingTask> = self.deferred.drain(..).collect();
-                let mut admitted = Vec::with_capacity(waiting.len() + window.tasks.len());
-                for (p, fresh) in
-                    waiting
-                        .into_iter()
-                        .map(|p| (p, false))
-                        .chain(window.tasks.iter().map(|&arrival| {
-                            (
-                                PendingTask {
-                                    arrival,
-                                    ttl: self.cfg.task_ttl,
-                                },
-                                true,
-                            )
-                        }))
-                {
-                    if allowed > 0 {
-                        allowed -= 1;
-                        if !fresh {
-                            readmitted_now += 1;
-                        }
-                        admitted.push(p);
-                    } else {
-                        if fresh {
-                            deferred_now += 1;
-                            self.outcomes.push_back(Outcome::Deferred {
-                                task: p.arrival.id,
-                                window: window.index,
-                            });
-                        }
-                        self.deferred.push_back(p);
-                    }
-                }
-                admitted
-            }
-            None => window
-                .tasks
-                .iter()
-                .map(|&arrival| PendingTask {
-                    arrival,
-                    ttl: self.cfg.task_ttl,
-                })
-                .collect(),
-        };
-        for p in &admitted {
+        for &(p, fresh) in &admitted {
+            readmitted_now += usize::from(!fresh);
             self.delta
                 .insert_task(u64::from(p.arrival.id), p.arrival.task, |tk, wk| {
                     self.budget_gen.vector(tk as usize, wk as usize)
                 });
+            self.pending.push(p);
         }
-        self.pending.extend(admitted);
         let (pool, pending) = (&mut self.pool, &mut self.pending);
         let (ledger, carried) = (&mut self.ledger, &mut self.carried);
         let pace = &mut self.pace;
@@ -659,14 +734,7 @@ impl<'e> SessionCore<'e> {
         // same — it is the age the window width controls. Only the
         // adaptive controller consumes it, so static-policy runs skip
         // the per-window allocation entirely.
-        let ages: Vec<f64> = if matches!(self.cfg.policy, WindowPolicy::Adaptive(_)) {
-            pending
-                .iter()
-                .map(|p| window.end - p.arrival.time)
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let ages = waiting_ages(&self.cfg.policy, pending, window.end);
 
         let mut report = WindowReport {
             index: window.index,
@@ -963,35 +1031,8 @@ impl<'e> SessionCore<'e> {
             }
         }
         report.workers_departed = departed.len();
-        // Sliding-window (renewable) accounting never retires: an
-        // exhausted worker idles — the remaining-budget guard stops his
-        // releases — until old charges age out of the protection
-        // window. An infinite protection window is not renewable, so
-        // `Windowed { window_secs: ∞ }` retires exactly like lifetime
-        // accounting (the bit-for-bit equivalence the property suite
-        // pins).
-        let renewable = ledger.renewable();
-        let mut retired: BTreeSet<u64> = if renewable {
-            BTreeSet::new()
-        } else {
-            ledger.drain_exhausted().into_iter().collect()
-        };
-        if !renewable && warm && self.cfg.worker_capacity.is_finite() {
-            // Hard-cap mode never overshoots, so spend rarely reaches
-            // the capacity exactly; instead a worker is effectively
-            // exhausted once his remaining budget cannot cover even the
-            // cheapest possible release (the draw range's lower bound).
-            for w in pool.iter() {
-                let id = u64::from(w.id);
-                if !departed.contains(&w.id)
-                    && !retired.contains(&id)
-                    && ledger.remaining(id) + 1e-12 < self.cfg.budget_range.0
-                {
-                    ledger.forget(id);
-                    retired.insert(id);
-                }
-            }
-        }
+        let capped = warm && self.cfg.worker_capacity.is_finite();
+        let retired = retire_exhausted(ledger, pool, &departed, capped, self.cfg.budget_range.0);
         // An in-service worker can exhaust his budget at the very match
         // that sent him out (re-entry keeps him tracked): he finishes
         // the trip he is on but retires instead of returning.
@@ -1049,23 +1090,8 @@ impl<'e> SessionCore<'e> {
         }
         *pending = next_pending;
         report.carried_out = pending.len();
-        // Refresh the pacing forecast from this window's realized
-        // spend: EMA over the per-window spend delta (clamped at zero —
-        // window-`W` reclamation can shrink recorded spend, which is
-        // not negative burn).
         if self.cfg.pacing.is_some() {
-            let tracked = ledger.tracked_ids();
-            for &id in &tracked {
-                let spent = ledger.spent(id);
-                let st = pace.entry(id as u32).or_insert(PaceState {
-                    last_spent: 0.0,
-                    ema: 0.0,
-                });
-                let burned = (spent - st.last_spent).max(0.0);
-                st.ema = 0.5 * st.ema + 0.5 * burned;
-                st.last_spent = spent;
-            }
-            pace.retain(|&id, _| tracked.binary_search(&u64::from(id)).is_ok());
+            refresh_pacing(ledger, pace);
         }
         let signals = StepSignals {
             ages,
@@ -1130,7 +1156,7 @@ impl<'e> SessionCore<'e> {
 /// ```
 pub struct StreamSession<'e> {
     core: Option<SessionCore<'e>>,
-    former: PushWindower,
+    former: Windower,
     residual: VecDeque<Outcome>,
     n_tasks: usize,
     n_workers: usize,
@@ -1146,13 +1172,8 @@ impl<'e> StreamSession<'e> {
     /// configuration (zero TTL, empty budget group, non-positive
     /// capacity or window knobs).
     pub fn new(engine: &'e dyn AssignmentEngine, cfg: StreamConfig) -> Self {
-        assert!(cfg.task_ttl >= 1, "task_ttl must be at least 1");
-        assert!(cfg.budget_group_size >= 1, "budget group must be non-empty");
-        assert!(
-            cfg.worker_capacity > 0.0,
-            "worker_capacity must be positive"
-        );
-        let former = PushWindower::new(cfg.policy, cfg.horizon);
+        cfg.assert_valid();
+        let former = Windower::new(cfg.policy, cfg.horizon);
         StreamSession {
             core: Some(SessionCore::new(engine, cfg)),
             former,
@@ -1180,41 +1201,26 @@ impl<'e> StreamSession<'e> {
     /// buffer its ~log n doubling copies on the way to 10⁵⁺ buffered
     /// events.
     pub fn reserve(&mut self, additional: usize) {
-        self.former.buffer.reserve(additional);
+        self.former.reserve(additional);
     }
 
     /// Feeds one arrival event. Panics on a non-finite or negative
     /// timestamp, a timestamp below the watermark (its window may
-    /// already be closed), a duplicate id within an entity kind, or a
-    /// closed session — the same invariants
-    /// [`ArrivalStream::new`](crate::ArrivalStream::new) enforces,
-    /// checked incrementally.
+    /// already be closed), a non-finite location, a non-finite or
+    /// negative task value or worker radius, a duplicate id within an
+    /// entity kind, or a closed session.
     pub fn push(&mut self, event: ArrivalEvent) {
         assert!(self.core.is_some(), "push on a closed session");
-        let t = event.time();
-        assert!(
-            t.is_finite() && t >= 0.0,
-            "arrival time must be finite and >= 0, got {t}"
+        check_arrival(
+            &event,
+            self.former.watermark,
+            &mut self.task_ids,
+            &mut self.worker_ids,
         );
-        assert!(
-            t >= self.former.watermark,
-            "late arrival: event at t = {t} is below the watermark {} \
-             (its window may already be driven)",
-            self.former.watermark
-        );
-        let fresh = match &event {
-            ArrivalEvent::Task(a) => {
-                self.n_tasks += 1;
-                let seen = self.task_ids.len();
-                self.task_ids.intern(u64::from(a.id)) as usize == seen
-            }
-            ArrivalEvent::Worker(a) => {
-                self.n_workers += 1;
-                let seen = self.worker_ids.len();
-                self.worker_ids.intern(u64::from(a.id)) as usize == seen
-            }
-        };
-        assert!(fresh, "arrival ids must be unique per entity kind");
+        match event {
+            ArrivalEvent::Task(_) => self.n_tasks += 1,
+            ArrivalEvent::Worker(_) => self.n_workers += 1,
+        }
         self.former.push(event);
     }
 
@@ -1230,8 +1236,7 @@ impl<'e> StreamSession<'e> {
         if t <= self.former.watermark {
             return;
         }
-        self.former.watermark = t;
-        self.former.any_input = true;
+        self.former.advance(t);
         self.drive_ready(false);
     }
 
@@ -1264,8 +1269,15 @@ impl<'e> StreamSession<'e> {
     /// [`StreamSession::restore`] and draining reproduces the
     /// uninterrupted run bit for bit. Panics on a closed session.
     pub fn snapshot(&self) -> SessionSnapshot {
+        self.snapshot_with(&[])
+    }
+
+    /// [`snapshot`](Self::snapshot) as if `pending` (arrival-checked
+    /// events) had been pushed first — the sharded session's view of a
+    /// shard whose routed events still wait in its inbox.
+    pub(crate) fn snapshot_with(&self, pending: &[ArrivalEvent]) -> SessionSnapshot {
         let core = self.core.as_ref().expect("snapshot on a closed session");
-        SessionSnapshot {
+        let mut snap = SessionSnapshot {
             version: SNAPSHOT_VERSION,
             engine: core.engine.name().to_string(),
             config: core.cfg.clone(),
@@ -1276,7 +1288,21 @@ impl<'e> StreamSession<'e> {
             n_workers: self.n_workers,
             task_ids: self.task_ids.ids().iter().map(|&id| id as u32).collect(),
             worker_ids: self.worker_ids.ids().iter().map(|&id| id as u32).collect(),
+        };
+        if !pending.is_empty() {
+            let mut former = self.former.clone();
+            for &event in pending {
+                former.push(event);
+                let (count, ids, id) = match event {
+                    ArrivalEvent::Task(a) => (&mut snap.n_tasks, &mut snap.task_ids, a.id),
+                    ArrivalEvent::Worker(a) => (&mut snap.n_workers, &mut snap.worker_ids, a.id),
+                };
+                *count += 1;
+                ids.insert(id);
+            }
+            snap.windower = former.snapshot();
         }
+        snap
     }
 
     /// Reopens a session from a snapshot taken by
@@ -1295,7 +1321,7 @@ impl<'e> StreamSession<'e> {
         snapshot: &SessionSnapshot,
     ) -> Result<Self, SnapshotError> {
         snapshot.validate(engine.name(), &cfg)?;
-        let former = PushWindower::from_snapshot(cfg.policy, cfg.horizon, &snapshot.windower)?;
+        let former = Windower::from_snapshot(cfg.policy, cfg.horizon, &snapshot.windower)?;
         let core = SessionCore::from_snapshot(engine, cfg, &snapshot.core);
         Ok(StreamSession {
             core: Some(core),
@@ -1312,346 +1338,24 @@ impl<'e> StreamSession<'e> {
         })
     }
 
-    /// Extends the covered span to at least `t` — the sharded wrapper
+    /// Extends the covered span to at least `t` — the sharded session
     /// injects the *global* span before closing so every shard forms
-    /// the same trailing windows, exactly like the batch runner's
-    /// horizon injection.
+    /// the same trailing windows.
     pub(crate) fn extend_horizon(&mut self, t: f64) {
-        let h = self.former.horizon.unwrap_or(0.0).max(t);
-        self.former.horizon = Some(h);
-        self.former.any_input = true;
+        self.former.extend_horizon(t);
+    }
+
+    /// Events pushed so far.
+    pub(crate) fn arrivals(&self) -> usize {
+        self.n_tasks + self.n_workers
     }
 
     fn drive_ready(&mut self, drain: bool) {
         let core = self.core.as_mut().expect("core present");
         while let Some(window) = self.former.next_ready(drain) {
             let signals = core.step(&window, self.former.last_decision);
-            if self.former.needs_feedback() {
-                self.former
-                    .observe(&StepSignals::merge(std::slice::from_ref(&signals)));
-            }
-        }
-    }
-}
-
-/// The serializable state of a [`PushWindower`]: the buffered events
-/// still waiting for their window, the watermark/grid cursors, and the
-/// adaptive controller's PID state. The policy and configured horizon
-/// are *not* here — they are reconstructed from the restore-time
-/// [`StreamConfig`], which a snapshot validates against field by field.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub(crate) struct WindowerSnapshot {
-    pub(crate) buffer: VecDeque<ArrivalEvent>,
-    pub(crate) watermark: f64,
-    pub(crate) next_start: f64,
-    pub(crate) index: usize,
-    pub(crate) controller: Option<ControllerState>,
-    pub(crate) last_decision: WindowCutDecision,
-    pub(crate) max_event_time: f64,
-    pub(crate) any_input: bool,
-}
-
-/// Incremental window former over pushed events — the push-mode
-/// counterpart of [`Windower`](crate::Windower), forming *identical*
-/// window sequences (same spans, same memberships, same adaptive cuts)
-/// once the same events have gone past it.
-pub(crate) struct PushWindower {
-    policy: WindowPolicy,
-    /// Buffered events, sorted by `(time, workers-before-tasks, id)` —
-    /// the [`ArrivalStream`](crate::ArrivalStream) order.
-    buffer: VecDeque<ArrivalEvent>,
-    pub(crate) watermark: f64,
-    next_start: f64,
-    index: usize,
-    controller: Option<AdaptiveController>,
-    pub(crate) last_decision: WindowCutDecision,
-    /// Highest event timestamp seen.
-    max_event_time: f64,
-    /// Explicit horizon from the configuration.
-    horizon: Option<f64>,
-    /// Anything observed at all (events, an advanced watermark, or an
-    /// explicit horizon): an untouched session closes to zero windows,
-    /// like the batch former on an empty stream.
-    pub(crate) any_input: bool,
-}
-
-impl PushWindower {
-    pub(crate) fn new(policy: WindowPolicy, horizon: Option<f64>) -> Self {
-        let controller = match policy {
-            WindowPolicy::Adaptive(p) => Some(AdaptiveController::new(p)),
-            WindowPolicy::ByTime { width } => {
-                assert!(
-                    width > 0.0 && width.is_finite(),
-                    "window width must be positive, got {width}"
-                );
-                None
-            }
-            WindowPolicy::ByCount { tasks } => {
-                assert!(tasks > 0, "count threshold must be positive");
-                None
-            }
-        };
-        PushWindower {
-            policy,
-            buffer: VecDeque::new(),
-            watermark: 0.0,
-            next_start: 0.0,
-            index: 0,
-            controller,
-            last_decision: WindowCutDecision::Scheduled,
-            max_event_time: 0.0,
-            horizon,
-            any_input: horizon.is_some(),
-        }
-    }
-
-    /// Captures the windower's state for a session snapshot.
-    pub(crate) fn snapshot(&self) -> WindowerSnapshot {
-        WindowerSnapshot {
-            buffer: self.buffer.clone(),
-            watermark: self.watermark,
-            next_start: self.next_start,
-            index: self.index,
-            controller: self.controller.as_ref().map(AdaptiveController::state),
-            last_decision: self.last_decision,
-            max_event_time: self.max_event_time,
-            any_input: self.any_input,
-        }
-    }
-
-    /// Rebuilds a windower mid-stream from a snapshot, under the
-    /// restore-time policy and horizon (already validated to match the
-    /// snapshotted configuration).
-    pub(crate) fn from_snapshot(
-        policy: WindowPolicy,
-        horizon: Option<f64>,
-        snap: &WindowerSnapshot,
-    ) -> Result<Self, SnapshotError> {
-        let mut w = PushWindower::new(policy, horizon);
-        w.controller = match (&policy, &snap.controller) {
-            (WindowPolicy::Adaptive(p), Some(state)) => {
-                Some(AdaptiveController::from_state(*p, *state))
-            }
-            (WindowPolicy::Adaptive(_), None) => {
-                return Err(SnapshotError::Malformed(
-                    "adaptive policy but no controller state in snapshot".to_string(),
-                ))
-            }
-            (_, Some(_)) => {
-                return Err(SnapshotError::Malformed(
-                    "controller state in snapshot under a static policy".to_string(),
-                ))
-            }
-            (_, None) => None,
-        };
-        let sorted = snap
-            .buffer
-            .iter()
-            .zip(snap.buffer.iter().skip(1))
-            .all(|(a, b)| (a.time(), a.kind_rank(), a.id()) <= (b.time(), b.kind_rank(), b.id()));
-        if !sorted {
-            return Err(SnapshotError::Malformed(
-                "windower buffer is not in stream order".to_string(),
-            ));
-        }
-        w.buffer = snap.buffer.clone();
-        w.watermark = snap.watermark;
-        w.next_start = snap.next_start;
-        w.index = snap.index;
-        w.last_decision = snap.last_decision;
-        w.max_event_time = snap.max_event_time;
-        w.any_input = snap.any_input || w.any_input;
-        Ok(w)
-    }
-
-    pub(crate) fn needs_feedback(&self) -> bool {
-        self.controller.is_some()
-    }
-
-    pub(crate) fn observe(&mut self, fb: &WindowFeedback) {
-        if let Some(c) = self.controller.as_mut() {
-            c.observe(fb);
-        }
-    }
-
-    pub(crate) fn push(&mut self, event: ArrivalEvent) {
-        self.any_input = true;
-        self.max_event_time = self.max_event_time.max(event.time());
-        // Insertion keeps the stream sort order; pushes are usually
-        // near the tail, so walk back from the end.
-        let key = |e: &ArrivalEvent| (e.time(), e.kind_rank(), e.id());
-        let k = key(&event);
-        let mut pos = self.buffer.len();
-        while pos > 0 && key(&self.buffer[pos - 1]) > k {
-            pos -= 1;
-        }
-        self.buffer.insert(pos, event);
-    }
-
-    /// Last instant the window sequence must cover once closing.
-    pub(crate) fn span(&self) -> f64 {
-        self.max_event_time
-            .max(self.horizon.unwrap_or(0.0))
-            .max(self.watermark)
-    }
-
-    /// The next window that is certainly complete: bounded by the
-    /// watermark in streaming mode, by the span in drain mode.
-    pub(crate) fn next_ready(&mut self, drain: bool) -> Option<Window> {
-        if !self.any_input {
-            return None;
-        }
-        assert!(
-            self.index <= MAX_WINDOWS,
-            "windowing generated more than {MAX_WINDOWS} windows — widen the window"
-        );
-        match self.policy {
-            WindowPolicy::ByTime { width } => self.next_by_time(width, drain),
-            WindowPolicy::ByCount { tasks } => self.next_by_count(tasks, drain),
-            WindowPolicy::Adaptive(_) => self.next_adaptive(drain),
-        }
-    }
-
-    fn take_window(&mut self, start: f64, end: f64, upto: usize) -> Window {
-        let n_tasks = self
-            .buffer
-            .iter()
-            .take(upto)
-            .filter(|e| matches!(e, ArrivalEvent::Task(_)))
-            .count();
-        let mut window = Window {
-            index: self.index,
-            start,
-            end,
-            tasks: Vec::with_capacity(n_tasks),
-            workers: Vec::with_capacity(upto - n_tasks),
-        };
-        for e in self.buffer.drain(..upto) {
-            match e {
-                ArrivalEvent::Task(t) => window.tasks.push(t),
-                ArrivalEvent::Worker(w) => window.workers.push(w),
-            }
-        }
-        self.index += 1;
-        self.next_start = end;
-        window
-    }
-
-    fn next_by_time(&mut self, width: f64, drain: bool) -> Option<Window> {
-        // Boundaries are `k·width`, never accumulated addition: the
-        // batch former anchors windows the same way, and for widths
-        // with no exact binary representation an accumulated
-        // `end + width` would drift off the `k·width` grid after a few
-        // windows — enough to put boundary-timed events in different
-        // windows than the sharded runners (which window through the
-        // batch former) and break the bit-for-bit equivalence gates.
-        let start = self.index as f64 * width;
-        let end = (self.index + 1) as f64 * width;
-        // Fail fast on degenerate widths, like the batch former's
-        // span/width guard, instead of grinding through 2^20 driven
-        // windows before the index backstop fires.
-        let covered = if drain { self.span() } else { self.watermark };
-        assert!(
-            covered / width < MAX_WINDOWS as f64,
-            "width {width} s over a {covered} s span would generate more than \
-             {MAX_WINDOWS} windows — widen the window"
-        );
-        if drain {
-            if self.buffer.is_empty() && start > self.span() {
-                return None;
-            }
-        } else if end > self.watermark {
-            return None;
-        }
-        let upto = self.buffer.partition_point(|e| e.time() < end);
-        self.last_decision = WindowCutDecision::Scheduled;
-        Some(self.take_window(start, end, upto))
-    }
-
-    fn next_by_count(&mut self, tasks: usize, drain: bool) -> Option<Window> {
-        // The n-th buffered task closes the window at its timestamp;
-        // everything after it (ties included) falls to the next window,
-        // exactly like the batch former's stream-order cut.
-        let mut seen = 0usize;
-        let mut cut: Option<(usize, f64)> = None;
-        for (k, e) in self.buffer.iter().enumerate() {
-            if let ArrivalEvent::Task(t) = e {
-                seen += 1;
-                if seen == tasks {
-                    cut = Some((k, t.time));
-                    break;
-                }
-            }
-        }
-        self.last_decision = WindowCutDecision::Scheduled;
-        match cut {
-            // Streaming mode can only cut strictly below the watermark:
-            // a still-unpushed event could tie with the closing task.
-            Some((k, t)) if drain || t < self.watermark => {
-                Some(self.take_window(self.next_start, t, k + 1))
-            }
-            _ if drain && !self.buffer.is_empty() => {
-                // Final partial window: everything left, closed at the
-                // covered span (the batch former's trailing rule).
-                let end = self.span().max(self.next_start);
-                let upto = self.buffer.len();
-                Some(self.take_window(self.next_start, end, upto))
-            }
-            _ => None,
-        }
-    }
-
-    fn next_adaptive(&mut self, drain: bool) -> Option<Window> {
-        let controller = self.controller.as_ref().expect("adaptive former");
-        let start = self.next_start;
-        let sched_end = start + controller.width;
-        let complete = drain || sched_end <= self.watermark;
-        if drain && self.buffer.is_empty() && start > self.span() {
-            return None;
-        }
-        // Scan for a burst cut among events that are certainly final:
-        // all of them when the scheduled end is covered, only those
-        // strictly below the watermark otherwise.
-        let limit = if complete {
-            sched_end
-        } else {
-            self.watermark.min(sched_end)
-        };
-        let mut cut: Option<(usize, f64)> = None;
-        if !controller.starved {
-            let mut seen = 0usize;
-            for (k, e) in self.buffer.iter().enumerate() {
-                if e.time() >= limit {
-                    break;
-                }
-                if let ArrivalEvent::Task(t) = e {
-                    seen += 1;
-                    if seen == controller.policy.burst_tasks {
-                        cut = Some((k, t.time));
-                        break;
-                    }
-                }
-            }
-        }
-        match cut {
-            Some((k, t)) => {
-                // ByCount-style cut: the closing task's time is the
-                // boundary, and the cut also narrows the width through
-                // the controller — the count trigger firing first is
-                // direct evidence the width is too wide for the
-                // current arrival rate.
-                let c = self.controller.as_mut().expect("adaptive former");
-                c.burst_narrow();
-                self.last_decision = WindowCutDecision::Burst;
-                Some(self.take_window(start, t, k + 1))
-            }
-            None if complete => {
-                let decision = controller.width_decision();
-                let upto = self.buffer.partition_point(|e| e.time() < sched_end);
-                self.last_decision = decision;
-                Some(self.take_window(start, sched_end, upto))
-            }
-            None => None,
+            self.former
+                .observe(&StepSignals::merge(std::slice::from_ref(&signals)));
         }
     }
 }
@@ -1769,8 +1473,8 @@ mod tests {
     #[test]
     fn by_time_boundaries_stay_on_the_k_width_grid() {
         // Regression: a width with no exact binary representation must
-        // not drift off the `k·width` grid the batch former (and hence
-        // the sharded runners) anchors to — accumulated addition did.
+        // not drift off the `k·width` grid every shard anchors to —
+        // accumulated addition did.
         let stream = busy_stream();
         let cfg = StreamConfig {
             policy: WindowPolicy::ByTime { width: 0.7 },
@@ -1778,10 +1482,17 @@ mod tests {
         };
         let engine = Method::Grd.engine(&cfg.params);
         let report = StreamDriver::new(engine.as_ref(), cfg.clone()).run(&stream);
-        let batch = crate::window::WindowPolicy::windows(&cfg.policy, &stream, None);
-        assert_eq!(report.windows.len(), batch.len());
-        for (w, b) in report.windows.iter().zip(&batch) {
-            assert_eq!((w.start, w.end), (b.start, b.end), "window {}", w.index);
+        // Windows tile [0, horizon] on the grid: the last starts at or
+        // before the final event at t = 258.
+        assert_eq!(stream.horizon(), 258.0);
+        assert_eq!(report.windows.len(), (258.0f64 / 0.7) as usize + 1);
+        for (k, w) in report.windows.iter().enumerate() {
+            assert_eq!(w.index, k);
+            assert_eq!(
+                (w.start.to_bits(), w.end.to_bits()),
+                ((k as f64 * 0.7).to_bits(), ((k + 1) as f64 * 0.7).to_bits()),
+                "window {k}"
+            );
         }
     }
 
@@ -1816,6 +1527,34 @@ mod tests {
         let mut session = StreamSession::new(engine.as_ref(), cfg);
         session.push(task(3, 1.0, 0.0));
         session.push(task(3, 2.0, 0.0));
+    }
+
+    /// Pushes `event` into a fresh default session.
+    fn push_one(event: ArrivalEvent) {
+        let cfg = StreamConfig::default();
+        let engine = Method::Grd.engine(&cfg.params);
+        StreamSession::new(engine.as_ref(), cfg).push(event);
+    }
+
+    #[test]
+    #[should_panic(expected = "worker radius must be finite and >= 0")]
+    fn negative_worker_radius_panics() {
+        // Public fields bypass `Worker::new`; the push must not.
+        let mut event = worker(0, 0.0, 0.0, 1.0);
+        if let ArrivalEvent::Worker(w) = &mut event {
+            w.worker.radius = -30.0;
+        }
+        push_one(event);
+    }
+
+    #[test]
+    #[should_panic(expected = "arrival location must be finite")]
+    fn nan_location_panics() {
+        let mut event = task(0, 0.0, 0.0);
+        if let ArrivalEvent::Task(t) = &mut event {
+            t.task.location.x = f64::NAN;
+        }
+        push_one(event);
     }
 
     #[test]

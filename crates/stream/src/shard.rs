@@ -3,9 +3,9 @@
 //! Task assignment is spatially local — a worker only ever interacts
 //! with tasks inside his service disc — so a stream whose workers'
 //! discs never cross cell boundaries decomposes *exactly*: running one
-//! driver per [`GridPartition`] cell on scoped threads produces, pair
-//! for pair, the run the single-threaded driver would have produced,
-//! at a wall-clock cost of the slowest shard instead of the sum.
+//! session per [`GridPartition`] cell produces, pair for pair, the run
+//! the single-threaded session would have produced, at a wall-clock
+//! cost of the slowest shard instead of the sum.
 //!
 //! When discs do cross boundaries, the [`ShardStrategy`] decides what
 //! happens: [`DropPairs`](ShardStrategy::DropPairs) never considers
@@ -16,18 +16,25 @@
 //! input, bit-for-bit equal to the unsharded run on disjoint input.
 //! The protocol is documented in `ARCHITECTURE.md` ("Sharding & the
 //! halo protocol").
+//!
+//! There is one execution path: [`run_sharded`] pushes a whole stream
+//! into a [`ShardedSession`] and closes it. Shard jobs fan out over the
+//! crate's one thread pool (`parallel_map`), used by the drop-pairs
+//! close and by the halo coordinator's reconciliation passes.
 
-use crate::driver::{StreamConfig, StreamDriver};
-use crate::event::{ArrivalEvent, ArrivalStream};
-use crate::halo::{self, HaloCore};
-use crate::metrics::{ShardedReport, StreamReport};
-use crate::session::{PushWindower, SessionCore, StepSignals, StreamSession};
+use crate::driver::StreamConfig;
+use crate::event::{check_arrival, ArrivalEvent, ArrivalStream};
+use crate::halo::HaloCore;
+use crate::metrics::ShardedReport;
+use crate::session::{SessionCore, StepSignals, StreamSession};
 use crate::snapshot::{ShardedModeSnapshot, ShardedSnapshot, SnapshotError, SNAPSHOT_VERSION};
 use crate::window::{Window, WindowPolicy, Windower};
 use dpta_core::AssignmentEngine;
+use dpta_dp::Interner;
 use dpta_spatial::GridPartition;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// The warning drop-pairs sharding attaches to every shard report when
 /// it runs under a count policy: count windows close on shard-local
@@ -62,64 +69,16 @@ pub enum ShardStrategy {
     Halo,
 }
 
-/// Runs `stream` sharded by `partition` under the
-/// [`DropPairs`](ShardStrategy::DropPairs) strategy: one independent
-/// driver per cell, each on its own scoped thread sharing the one
-/// `engine`. Cross-boundary pairs are never formed — use
-/// [`run_sharded_halo`] (or [`run_sharded_with`]) when the workload is
-/// not shard-disjoint; the halo protocol and its guarantees are
-/// documented in `ARCHITECTURE.md` ("Sharding & the halo protocol").
+/// Runs `stream` sharded by `partition` under `strategy`: every event
+/// is pushed into a [`ShardedSession`], which is then closed, so batch
+/// and push driving are one code path.
 ///
-/// Every shard is forced onto the same window sequence: the global
-/// stream horizon is injected into each shard's configuration, so
-/// [`WindowPolicy::ByTime`](crate::WindowPolicy::ByTime) windows line
-/// up across shards (and with an
-/// unsharded run of the same configuration). With a time policy and a
-/// [shard-disjoint](ArrivalStream::is_shard_disjoint) stream, the
-/// merged totals equal the unsharded run's exactly — asserted by the
-/// crate's equivalence tests.
-///
-/// # Examples
-///
-/// ```
-/// use dpta_core::Method;
-/// use dpta_spatial::{Aabb, GridPartition};
-/// use dpta_stream::{run_sharded, StreamConfig, StreamDriver, StreamScenario, WindowPolicy};
-/// use dpta_workloads::{Dataset, Scenario};
-///
-/// let stream = StreamScenario::new(Scenario {
-///     batch_size: 30,
-///     n_batches: 2,
-///     worker_range: 1.0,
-///     ..Scenario::for_dataset(Dataset::Uniform)
-/// })
-/// .stream();
-/// let cfg = StreamConfig {
-///     policy: WindowPolicy::ByTime { width: 60.0 },
-///     ..StreamConfig::default()
-/// };
-/// let part = GridPartition::new(Aabb::from_extents(0.0, 0.0, 100.0, 100.0), 2, 2);
-/// let engine = Method::Grd.engine(&cfg.params);
-/// let sharded = run_sharded(engine.as_ref(), &stream, &cfg, &part);
-/// assert_eq!(sharded.shards.len(), 4);
-/// let direct: usize = sharded.shards.iter().map(|s| s.task_arrivals).sum();
-/// assert_eq!(direct, stream.n_tasks());
-/// ```
-pub fn run_sharded(
-    engine: &dyn AssignmentEngine,
-    stream: &ArrivalStream,
-    cfg: &StreamConfig,
-    partition: &GridPartition,
-) -> ShardedReport {
-    run_sharded_with(engine, stream, cfg, partition, ShardStrategy::DropPairs)
-}
-
-/// Runs `stream` sharded by `partition` under the boundary-halo
-/// protocol ([`ShardStrategy::Halo`]): cross-boundary pairs are
-/// recovered by replicating boundary workers into every cell their
-/// service disc reaches and reconciling the shards' claims
-/// deterministically. See [`run_sharded_with`] and the "Sharding & the
-/// halo protocol" section of `ARCHITECTURE.md`.
+/// Every shard walks the global window grid, so with a time or adaptive
+/// policy and a [shard-disjoint](ArrivalStream::is_shard_disjoint)
+/// stream the merged totals equal the unsharded run's exactly —
+/// asserted by the crate's equivalence tests. [`ShardStrategy::Halo`]
+/// recovers the cross-boundary pairs drop-pairs loses; see
+/// `ARCHITECTURE.md` ("Sharding & the halo protocol").
 ///
 /// # Examples
 ///
@@ -127,7 +86,7 @@ pub fn run_sharded(
 /// use dpta_core::{Method, Task, Worker};
 /// use dpta_spatial::{Aabb, GridPartition, Point};
 /// use dpta_stream::{
-///     run_sharded, run_sharded_halo, ArrivalEvent, ArrivalStream, StreamConfig, TaskArrival,
+///     run_sharded, ArrivalEvent, ArrivalStream, ShardStrategy, StreamConfig, TaskArrival,
 ///     WindowPolicy, WorkerArrival,
 /// };
 ///
@@ -151,208 +110,74 @@ pub fn run_sharded(
 ///     ..StreamConfig::default()
 /// };
 /// let engine = Method::Grd.engine(&cfg.params);
+/// let run = |strategy| run_sharded(engine.as_ref(), &stream, &cfg, &part, strategy);
 /// // Drop-pairs sharding loses the pair; the halo recovers it.
-/// assert_eq!(run_sharded(engine.as_ref(), &stream, &cfg, &part).matched(), 0);
-/// assert_eq!(run_sharded_halo(engine.as_ref(), &stream, &cfg, &part).matched(), 1);
+/// assert_eq!(run(ShardStrategy::DropPairs).matched(), 0);
+/// assert_eq!(run(ShardStrategy::Halo).matched(), 1);
 /// ```
-pub fn run_sharded_halo(
-    engine: &dyn AssignmentEngine,
-    stream: &ArrivalStream,
-    cfg: &StreamConfig,
-    partition: &GridPartition,
-) -> ShardedReport {
-    run_sharded_with(engine, stream, cfg, partition, ShardStrategy::Halo)
-}
-
-/// Runs `stream` sharded by `partition` under an explicit
-/// [`ShardStrategy`]. [`run_sharded`] and [`run_sharded_halo`] are the
-/// two named conveniences.
-pub fn run_sharded_with(
+pub fn run_sharded(
     engine: &dyn AssignmentEngine,
     stream: &ArrivalStream,
     cfg: &StreamConfig,
     partition: &GridPartition,
     strategy: ShardStrategy,
 ) -> ShardedReport {
-    run_sharded_pooled(engine, stream, cfg, partition, strategy, None)
+    let mut session = ShardedSession::new(engine, cfg.clone(), partition, strategy);
+    for &event in stream.events() {
+        session.push(event);
+    }
+    session.close()
 }
 
-/// [`run_sharded_with`] with an explicit worker-pool size.
+/// The crate's one thread pool: runs `work` over `jobs` on up to
+/// `threads` scoped threads (`None` = one per available core) and
+/// returns the results **in job order**.
 ///
-/// `pool` bounds the number of OS threads executing shard jobs
-/// (`None` = one per available core). The report is **byte-identical
-/// for every pool size**: each shard's run is a deterministic function
-/// of its sub-stream alone, and results land in a slot fixed by shard
-/// index, so neither the thread that ran a shard nor the order shards
-/// finished is observable — pinned across pool sizes 1/2/8 by the
-/// scale-properties suite. The knob only applies to static-policy
-/// [`DropPairs`](ShardStrategy::DropPairs) runs; adaptive drop-pairs
-/// and the halo protocol window globally and coordinate shards
-/// sequentially, so they ignore it.
-pub fn run_sharded_pooled(
-    engine: &dyn AssignmentEngine,
-    stream: &ArrivalStream,
-    cfg: &StreamConfig,
-    partition: &GridPartition,
-    strategy: ShardStrategy,
-    pool: Option<usize>,
-) -> ShardedReport {
-    match strategy {
-        ShardStrategy::DropPairs => run_drop_pairs(engine, stream, cfg, partition, pool),
-        ShardStrategy::Halo => halo::run_halo(engine, stream, cfg, partition),
+/// Jobs sit in one queue ordered heaviest first by `weight`
+/// (longest-processing-time, ties by index) and every idle thread
+/// steals the next one, so on skewed input the makespan approaches the
+/// max(job, total/threads) bound. Each result is a pure function of its
+/// job and lands in the job's slot: which thread ran a job, and when,
+/// is unobservable. A panicking job re-raises on the caller's thread.
+pub(crate) fn parallel_map<J: Send, R: Send>(
+    jobs: Vec<J>,
+    weight: impl Fn(&J) -> usize,
+    threads: Option<usize>,
+    work: impl Fn(J) -> R + Sync,
+) -> Vec<R> {
+    let auto = || std::thread::available_parallelism().map_or(8, std::num::NonZeroUsize::get);
+    let threads = jobs.len().min(threads.unwrap_or_else(auto).max(1));
+    if threads <= 1 {
+        return jobs.into_iter().map(work).collect();
     }
-}
-
-/// The independent-drivers implementation behind
-/// [`ShardStrategy::DropPairs`]: a deterministic work-stealing pool.
-///
-/// Populated shards become jobs in one shared queue, ordered largest
-/// first (longest-processing-time): under static striping one hotspot
-/// cell landing late in a thread's stripe serializes the whole run,
-/// while here every idle thread steals the next-heaviest remaining
-/// shard, so the makespan approaches the max(shard, total/threads)
-/// lower bound on skewed input. Determinism is by construction, not by
-/// scheduling: each shard's report is a pure function of its sub-stream
-/// and the shared configuration, and reports land in `slots[k]` keyed
-/// by shard index — which thread ran a shard, and in which order shards
-/// finished, is unobservable in the merged output.
-fn run_drop_pairs(
-    engine: &dyn AssignmentEngine,
-    stream: &ArrivalStream,
-    cfg: &StreamConfig,
-    partition: &GridPartition,
-    pool: Option<usize>,
-) -> ShardedReport {
-    if matches!(cfg.policy, WindowPolicy::Adaptive(_)) {
-        // Adaptive cuts depend on run feedback, so shards cannot window
-        // their sub-streams independently: one controller windows the
-        // merged global stream and every shard steps in lockstep.
-        return run_drop_pairs_adaptive(engine, stream, cfg, partition);
-    }
-    let horizon = cfg.horizon.unwrap_or_else(|| stream.horizon());
-    let shard_cfg = StreamConfig {
-        horizon: Some(horizon),
-        ..cfg.clone()
-    };
-    let sub_streams = stream.shard(partition);
-
-    // Empty cells cost nothing: no job, no drive, an empty report.
-    // Heaviest shards first (ties broken by shard index, so the queue
-    // order itself is deterministic).
-    let mut jobs: Vec<usize> = sub_streams
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| !s.events().is_empty())
-        .map(|(k, _)| k)
-        .collect();
-    jobs.sort_by_key(|&k| (std::cmp::Reverse(sub_streams[k].events().len()), k));
-    let threads = jobs.len().min(
-        pool.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(8)
-        })
-        .max(1),
-    );
-
-    let mut slots: Vec<Option<StreamReport>> = sub_streams
-        .iter()
-        .map(|_| {
-            Some(StreamReport {
-                engine: engine.name().to_string(),
-                ..StreamReport::default()
-            })
-        })
-        .collect();
-    if threads > 0 {
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let driven: Vec<(usize, StreamReport)> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let jobs = &jobs;
-                    let next = &next;
-                    let sub_streams = &sub_streams;
-                    let shard_cfg = &shard_cfg;
-                    s.spawn(move || {
-                        let mut out = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            let Some(&k) = jobs.get(i) else { break };
-                            let driver = StreamDriver::new(engine, shard_cfg.clone());
-                            out.push((k, driver.run(&sub_streams[k])));
-                        }
-                        out
-                    })
+    let mut queue: Vec<usize> = (0..jobs.len()).collect();
+    queue.sort_by_key(|&i| (std::cmp::Reverse(weight(&jobs[i])), i));
+    let cells: Vec<Mutex<Option<J>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
+    let next = AtomicUsize::new(0);
+    let mut done: Vec<(usize, R)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut out = Vec::new();
+                    while let Some(&i) = queue.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        let job = cells[i]
+                            .lock()
+                            .unwrap_or_else(std::sync::PoisonError::into_inner)
+                            .take()
+                            .expect("every job is claimed once");
+                        out.push((i, work(job)));
+                    }
+                    out
                 })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("shard thread panicked"))
-                .collect()
-        });
-        for (k, report) in driven {
-            slots[k] = Some(report);
-        }
-    }
-    let mut shards: Vec<StreamReport> = slots.into_iter().map(|s| s.expect("shard ran")).collect();
-    // ROADMAP leftover, now explicit: count windows close on shard-local
-    // arrivals and silently misalign across shards — say so on every
-    // populated shard's report instead of leaving it to folklore.
-    if matches!(cfg.policy, WindowPolicy::ByCount { .. }) && partition.n_shards() > 1 {
-        for s in shards
-            .iter_mut()
-            .filter(|s| s.task_arrivals > 0 || s.worker_arrivals > 0)
-        {
-            s.warnings.push(COUNT_WINDOW_SHARD_WARNING.to_string());
-        }
-    }
-    ShardedReport { shards }
-}
-
-/// Lockstep drop-pairs execution for [`WindowPolicy::Adaptive`]: one
-/// [`Windower`] forms windows off the merged global stream, each window
-/// is projected onto every shard (tasks and workers filtered by owning
-/// cell), all shard sessions step it, and the *merged* shard signals
-/// feed the controller — so the cut sequence equals the unsharded
-/// run's on shard-disjoint input bit for bit. Shards step sequentially
-/// inside a window (the controller needs every shard's signals before
-/// the next cut); the engine drives stay the dominant cost, exactly as
-/// in the halo coordinator.
-fn run_drop_pairs_adaptive(
-    engine: &dyn AssignmentEngine,
-    stream: &ArrivalStream,
-    cfg: &StreamConfig,
-    partition: &GridPartition,
-) -> ShardedReport {
-    let horizon = cfg.horizon.unwrap_or_else(|| stream.horizon());
-    let mut former = Windower::new(cfg.policy, stream, Some(horizon));
-    let n_shards = partition.n_shards();
-    let mut sessions: Vec<SessionCore> = (0..n_shards)
-        .map(|_| SessionCore::new(engine, cfg.clone()))
-        .collect();
-    let mut shard_tasks = vec![0usize; n_shards];
-    let mut shard_workers = vec![0usize; n_shards];
-    while let Some(window) = former.next_window() {
-        let cut = former.last_decision();
-        let signals: Vec<StepSignals> = sessions
-            .iter_mut()
-            .enumerate()
-            .map(|(k, session)| {
-                let projected = project_window(&window, partition, k);
-                shard_tasks[k] += projected.tasks.len();
-                shard_workers[k] += projected.workers.len();
-                session.step(&projected, cut)
             })
             .collect();
-        former.observe(&StepSignals::merge(&signals));
-    }
-    ShardedReport {
-        shards: sessions
+        handles
             .into_iter()
-            .enumerate()
-            .map(|(k, session)| session.finish(shard_tasks[k], shard_workers[k]))
-            .collect(),
-    }
+            .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 /// Shard `k`'s view of a globally-formed window: the same span, holding
@@ -378,20 +203,20 @@ fn project_window(window: &Window, partition: &GridPartition, k: usize) -> Windo
     }
 }
 
-/// The push-based counterpart of [`run_sharded_with`]: one durable
-/// session over a spatial partition, fed events one at a time.
+/// One durable sharded session over a spatial partition, fed events one
+/// at a time — the only sharded execution path ([`run_sharded`] is
+/// push-all-then-close over it).
 ///
 /// `push(event)` routes by the entity's location, `advance_to(t)`
-/// declares the global event-time watermark, and `close()` settles the
-/// per-shard [`ShardedReport`] — draining a pre-built stream through a
-/// `ShardedSession` reproduces the batch runner of the same strategy
-/// bit for bit (the crash-resume suite pins this). Like
+/// declares the global event-time watermark (shards step one after
+/// another), and `close()` settles the per-shard [`ShardedReport`]. Like
 /// [`StreamSession`](crate::StreamSession), a mid-run session can be
 /// captured with [`snapshot`](Self::snapshot) and reopened with
-/// [`restore`](Self::restore); execution mode follows the batch
-/// runners: independent per-shard sessions for static drop-pairs
-/// policies, one lockstep windower for adaptive drop-pairs, and the
-/// halo coordinator for [`ShardStrategy::Halo`].
+/// [`restore`](Self::restore). The execution mode follows strategy and
+/// policy: independent per-shard sessions for static drop-pairs
+/// policies (closed in parallel, heaviest shard first), one lockstep
+/// windower for adaptive drop-pairs, and the halo coordinator for
+/// [`ShardStrategy::Halo`].
 ///
 /// The typed per-event outcome log is a flat-session feature; the
 /// sharded session reports through its per-shard window reports and
@@ -421,13 +246,15 @@ fn project_window(window: &Window, partition: &GridPartition, k: usize) -> Windo
 /// let part = GridPartition::new(Aabb::from_extents(0.0, 0.0, 100.0, 100.0), 2, 2);
 /// let engine = Method::Grd.engine(&cfg.params);
 ///
+/// // Drive windows as time passes instead of all at close.
 /// let mut session = ShardedSession::new(engine.as_ref(), cfg.clone(), &part, ShardStrategy::DropPairs);
 /// for &event in stream.events() {
+///     session.advance_to(event.time());
 ///     session.push(event);
 /// }
-/// let pushed = session.close();
-/// let batch = run_sharded(engine.as_ref(), &stream, &cfg, &part);
-/// assert_eq!(pushed.matched(), batch.matched());
+/// let streamed = session.close();
+/// let batch = run_sharded(engine.as_ref(), &stream, &cfg, &part, ShardStrategy::DropPairs);
+/// assert_eq!(streamed.matched(), batch.matched());
 /// ```
 pub struct ShardedSession<'e, 'p> {
     engine: &'e dyn AssignmentEngine,
@@ -435,47 +262,49 @@ pub struct ShardedSession<'e, 'p> {
     partition: &'p GridPartition,
     strategy: ShardStrategy,
     watermark: f64,
-    task_ids: BTreeSet<u32>,
-    worker_ids: BTreeSet<u32>,
+    task_ids: Interner,
+    worker_ids: Interner,
+    /// Thread bound for the parallel close (`None` = one per core).
+    /// Results do not depend on it; only the pool-size tests set it.
+    threads: Option<usize>,
     /// `None` once closed.
     mode: Option<Mode<'e>>,
 }
 
-/// The three sharded execution modes, mirroring the batch runners.
+/// The three sharded execution modes.
 // One mode lives per session and is never collected, so the size skew
 // between variants costs nothing — boxing would only add indirection.
 #[allow(clippy::large_enum_variant)]
 enum Mode<'e> {
     /// Static drop-pairs policies: fully independent per-shard
-    /// sessions, the global span injected at close (the batch runner's
-    /// horizon injection).
+    /// sessions, the global span injected at close.
     PerShard {
         shards: Vec<StreamSession<'e>>,
-        /// Events routed to each shard so far — only shards that
-        /// received input are horizon-extended and watermarked (empty
-        /// cells must close to empty reports, exactly like the batch
-        /// runner's undriven slots).
-        received: Vec<usize>,
+        /// Arrival-checked events routed to each shard and not yet
+        /// pushed into it. They move in at the next `advance_to`, or
+        /// inside the shard's parallel job at `close`, so a
+        /// push-then-close run pushes its shards in parallel.
+        inbox: Vec<Vec<ArrivalEvent>>,
         max_event_time: f64,
     },
     /// Adaptive drop-pairs: one global windower cuts for every shard,
     /// fed the merged shard signals.
     Lockstep {
-        former: PushWindower,
+        former: Windower,
         cores: Vec<SessionCore<'e>>,
         shard_tasks: Vec<usize>,
         shard_workers: Vec<usize>,
     },
-    /// The boundary-halo protocol behind a push windower.
+    /// The boundary-halo protocol behind the global windower.
     Halo {
-        former: PushWindower,
+        former: Windower,
         core: HaloCore<'e>,
     },
 }
 
-/// Per-shard sessions never see the user's horizon directly: the batch
-/// runner injects the *global* span into populated shards only, so the
-/// wrapper strips the horizon at construction and injects it via
+/// Per-shard sessions never see the user's horizon directly: the
+/// *global* span is injected into populated shards only, so the session
+/// strips the horizon at construction and injects it via
 /// [`StreamSession::extend_horizon`] at close.
 fn per_shard_config(cfg: &StreamConfig) -> StreamConfig {
     StreamConfig {
@@ -495,21 +324,15 @@ impl<'e, 'p> ShardedSession<'e, 'p> {
         partition: &'p GridPartition,
         strategy: ShardStrategy,
     ) -> Self {
-        assert!(cfg.task_ttl >= 1, "task_ttl must be at least 1");
-        assert!(cfg.budget_group_size >= 1, "budget group must be non-empty");
-        assert!(
-            cfg.worker_capacity > 0.0,
-            "worker_capacity must be positive"
-        );
-        cfg.service.validate();
+        cfg.assert_valid();
         let n = partition.n_shards();
         let mode = match (strategy, cfg.policy) {
             (ShardStrategy::Halo, _) => Mode::Halo {
-                former: PushWindower::new(cfg.policy, cfg.horizon),
+                former: Windower::new(cfg.policy, cfg.horizon),
                 core: HaloCore::new(engine, cfg.clone(), n),
             },
             (ShardStrategy::DropPairs, WindowPolicy::Adaptive(_)) => Mode::Lockstep {
-                former: PushWindower::new(cfg.policy, cfg.horizon),
+                former: Windower::new(cfg.policy, cfg.horizon),
                 cores: (0..n)
                     .map(|_| SessionCore::new(engine, cfg.clone()))
                     .collect(),
@@ -520,7 +343,7 @@ impl<'e, 'p> ShardedSession<'e, 'p> {
                 shards: (0..n)
                     .map(|_| StreamSession::new(engine, per_shard_config(&cfg)))
                     .collect(),
-                received: vec![0; n],
+                inbox: vec![Vec::new(); n],
                 max_event_time: 0.0,
             },
         };
@@ -530,8 +353,9 @@ impl<'e, 'p> ShardedSession<'e, 'p> {
             partition,
             strategy,
             watermark: 0.0,
-            task_ids: BTreeSet::new(),
-            worker_ids: BTreeSet::new(),
+            task_ids: Interner::new(),
+            worker_ids: Interner::new(),
+            threads: None,
             mode: Some(mode),
         }
     }
@@ -551,37 +375,22 @@ impl<'e, 'p> ShardedSession<'e, 'p> {
     /// [`StreamSession::push`](crate::StreamSession::push) — ids are
     /// unique per entity kind *globally*, across shards.
     pub fn push(&mut self, event: ArrivalEvent) {
-        let t = event.time();
-        assert!(
-            t.is_finite() && t >= 0.0,
-            "arrival time must be finite and >= 0, got {t}"
+        assert!(self.mode.is_some(), "push on a closed session");
+        check_arrival(
+            &event,
+            self.watermark,
+            &mut self.task_ids,
+            &mut self.worker_ids,
         );
-        assert!(
-            t >= self.watermark,
-            "late arrival: event at t = {t} is below the watermark {} \
-             (its window may already be driven)",
-            self.watermark
-        );
-        let fresh = match &event {
-            ArrivalEvent::Task(a) => self.task_ids.insert(a.id),
-            ArrivalEvent::Worker(a) => self.worker_ids.insert(a.id),
-        };
-        assert!(fresh, "arrival ids must be unique per entity kind");
         let partition = self.partition;
-        match self.mode.as_mut().expect("push on a closed session") {
+        match self.mode.as_mut().expect("mode present") {
             Mode::PerShard {
-                shards,
-                received,
+                inbox,
                 max_event_time,
+                ..
             } => {
-                *max_event_time = max_event_time.max(t);
-                let loc = match &event {
-                    ArrivalEvent::Task(a) => a.task.location,
-                    ArrivalEvent::Worker(a) => a.worker.location,
-                };
-                let k = partition.shard_of(&loc);
-                shards[k].push(event);
-                received[k] += 1;
+                *max_event_time = max_event_time.max(event.time());
+                inbox[partition.shard_of(&event.location())].push(event);
             }
             Mode::Lockstep { former, .. } | Mode::Halo { former, .. } => former.push(event),
         }
@@ -600,60 +409,55 @@ impl<'e, 'p> ShardedSession<'e, 'p> {
             return;
         }
         self.watermark = t;
-        let partition = self.partition;
-        match self.mode.as_mut().expect("mode present") {
-            Mode::PerShard {
-                shards, received, ..
-            } => {
-                for (k, s) in shards.iter_mut().enumerate() {
-                    if received[k] > 0 {
+        let mode = self.mode.as_mut().expect("mode present");
+        match mode {
+            Mode::PerShard { shards, inbox, .. } => {
+                // Only shards that received input are watermarked: empty
+                // cells close to empty reports.
+                for (s, pending) in shards.iter_mut().zip(inbox) {
+                    pending.drain(..).for_each(|e| s.push(e));
+                    if s.arrivals() > 0 {
                         s.advance_to(t);
                     }
                 }
             }
-            Mode::Lockstep {
-                former,
-                cores,
-                shard_tasks,
-                shard_workers,
-            } => {
-                former.watermark = t;
-                former.any_input = true;
-                drive_lockstep(former, cores, partition, shard_tasks, shard_workers, false);
-            }
-            Mode::Halo { former, core } => {
-                former.watermark = t;
-                former.any_input = true;
-                drive_halo(former, core, partition, false);
-            }
+            Mode::Lockstep { former, .. } | Mode::Halo { former, .. } => former.advance(t),
         }
+        mode.drive_global(self.partition, false);
     }
 
     /// Drives every remaining window in every shard (trailing empties
     /// included) and settles the per-shard reports. Panics if called
     /// twice.
     pub fn close(&mut self) -> ShardedReport {
-        let mode = self.mode.take().expect("close on a closed session");
+        let mut mode = self.mode.take().expect("close on a closed session");
+        mode.drive_global(self.partition, true);
         match mode {
             Mode::PerShard {
-                mut shards,
-                received,
+                shards,
+                inbox,
                 max_event_time,
             } => {
-                // The batch runner's horizon injection: every populated
-                // shard is forced onto the window grid of the *global*
-                // span, so windows line up across shards.
+                // Every populated shard is forced onto the window grid
+                // of the *global* span, so windows line up across
+                // shards. The shards take in their inboxes and drain
+                // in parallel.
                 let inject = self
                     .cfg
                     .horizon
                     .unwrap_or_else(|| max_event_time.max(self.watermark));
-                let mut reports = Vec::with_capacity(shards.len());
-                for (k, s) in shards.iter_mut().enumerate() {
-                    if received[k] > 0 {
+                let jobs: Vec<_> = shards.into_iter().zip(inbox).collect();
+                let weight = |(s, pending): &(StreamSession, Vec<ArrivalEvent>)| {
+                    s.arrivals() + pending.len()
+                };
+                let mut reports = parallel_map(jobs, weight, self.threads, |(mut s, pending)| {
+                    s.reserve(pending.len());
+                    pending.into_iter().for_each(|e| s.push(e));
+                    if s.arrivals() > 0 {
                         s.extend_horizon(inject);
                     }
-                    reports.push(s.close());
-                }
+                    s.close()
+                });
                 if matches!(self.cfg.policy, WindowPolicy::ByCount { .. }) && reports.len() > 1 {
                     for s in reports
                         .iter_mut()
@@ -665,35 +469,18 @@ impl<'e, 'p> ShardedSession<'e, 'p> {
                 ShardedReport { shards: reports }
             }
             Mode::Lockstep {
-                mut former,
                 cores,
-                mut shard_tasks,
-                mut shard_workers,
-            } => {
-                let mut cores = cores;
-                drive_lockstep(
-                    &mut former,
-                    &mut cores,
-                    self.partition,
-                    &mut shard_tasks,
-                    &mut shard_workers,
-                    true,
-                );
-                ShardedReport {
-                    shards: cores
-                        .into_iter()
-                        .enumerate()
-                        .map(|(k, core)| core.finish(shard_tasks[k], shard_workers[k]))
-                        .collect(),
-                }
-            }
-            Mode::Halo {
-                mut former,
-                mut core,
-            } => {
-                drive_halo(&mut former, &mut core, self.partition, true);
-                core.finish(self.partition)
-            }
+                shard_tasks,
+                shard_workers,
+                ..
+            } => ShardedReport {
+                shards: cores
+                    .into_iter()
+                    .enumerate()
+                    .map(|(k, core)| core.finish(shard_tasks[k], shard_workers[k]))
+                    .collect(),
+            },
+            Mode::Halo { core, .. } => core.finish(self.partition),
         }
     }
 
@@ -706,10 +493,14 @@ impl<'e, 'p> ShardedSession<'e, 'p> {
         let mode_snap = match mode {
             Mode::PerShard {
                 shards,
+                inbox,
                 max_event_time,
-                ..
             } => ShardedModeSnapshot::PerShard {
-                shards: shards.iter().map(StreamSession::snapshot).collect(),
+                shards: shards
+                    .iter()
+                    .zip(inbox)
+                    .map(|(s, pending)| s.snapshot_with(pending))
+                    .collect(),
                 max_event_time: *max_event_time,
             },
             Mode::Lockstep {
@@ -735,8 +526,8 @@ impl<'e, 'p> ShardedSession<'e, 'p> {
             strategy: self.strategy,
             n_shards: self.partition.n_shards(),
             watermark: self.watermark,
-            task_ids: self.task_ids.clone(),
-            worker_ids: self.worker_ids.clone(),
+            task_ids: self.task_ids.ids().iter().map(|&id| id as u32).collect(),
+            worker_ids: self.worker_ids.ids().iter().map(|&id| id as u32).collect(),
             mode: mode_snap,
         }
     }
@@ -774,14 +565,13 @@ impl<'e, 'p> ShardedSession<'e, 'p> {
                 if shards.len() != n {
                     return bad_len("per-shard session list");
                 }
-                let received = shards.iter().map(|s| s.n_tasks + s.n_workers).collect();
                 let sessions = shards
                     .iter()
                     .map(|s| StreamSession::restore(engine, per_shard_config(&cfg), s))
                     .collect::<Result<Vec<_>, _>>()?;
                 Mode::PerShard {
                     shards: sessions,
-                    received,
+                    inbox: vec![Vec::new(); n],
                     max_event_time: *max_event_time,
                 }
             }
@@ -799,7 +589,7 @@ impl<'e, 'p> ShardedSession<'e, 'p> {
                     return bad_len("lockstep core list");
                 }
                 Mode::Lockstep {
-                    former: PushWindower::from_snapshot(cfg.policy, cfg.horizon, windower)?,
+                    former: Windower::from_snapshot(cfg.policy, cfg.horizon, windower)?,
                     cores: cores
                         .iter()
                         .map(|c| SessionCore::from_snapshot(engine, cfg.clone(), c))
@@ -809,7 +599,7 @@ impl<'e, 'p> ShardedSession<'e, 'p> {
                 }
             }
             (ShardedModeSnapshot::Halo { windower, core }, ShardStrategy::Halo, _) => Mode::Halo {
-                former: PushWindower::from_snapshot(cfg.policy, cfg.horizon, windower)?,
+                former: Windower::from_snapshot(cfg.policy, cfg.horizon, windower)?,
                 core: HaloCore::from_snapshot(engine, cfg.clone(), partition, core)?,
             },
             _ => {
@@ -824,54 +614,55 @@ impl<'e, 'p> ShardedSession<'e, 'p> {
             partition,
             strategy,
             watermark: snapshot.watermark,
-            task_ids: snapshot.task_ids.clone(),
-            worker_ids: snapshot.worker_ids.clone(),
+            task_ids: snapshot.task_ids.iter().map(|&id| u64::from(id)).collect(),
+            worker_ids: snapshot
+                .worker_ids
+                .iter()
+                .map(|&id| u64::from(id))
+                .collect(),
+            threads: None,
             mode: Some(mode),
         })
     }
 }
 
-/// The lockstep drive loop shared by `advance_to` and `close`: project
-/// every ready global window onto every shard, step all cores, feed
-/// the merged signals back — the push-mode mirror of the batch
-/// adaptive runner.
-fn drive_lockstep(
-    former: &mut PushWindower,
-    cores: &mut [SessionCore],
-    partition: &GridPartition,
-    shard_tasks: &mut [usize],
-    shard_workers: &mut [usize],
-    drain: bool,
-) {
-    while let Some(window) = former.next_ready(drain) {
-        let cut = former.last_decision;
-        let signals: Vec<StepSignals> = cores
-            .iter_mut()
-            .enumerate()
-            .map(|(k, core)| {
-                let projected = project_window(&window, partition, k);
-                shard_tasks[k] += projected.tasks.len();
-                shard_workers[k] += projected.workers.len();
-                core.step(&projected, cut)
-            })
-            .collect();
-        former.observe(&StepSignals::merge(&signals));
-    }
-}
-
-/// The halo drive loop shared by `advance_to` and `close`: step the
-/// coordinator over every ready globally-formed window.
-fn drive_halo(
-    former: &mut PushWindower,
-    core: &mut HaloCore,
-    partition: &GridPartition,
-    drain: bool,
-) {
-    while let Some(window) = former.next_ready(drain) {
-        let cut = former.last_decision;
-        let signals = core.step_window(partition, &window, cut);
-        if former.needs_feedback() {
-            former.observe(&StepSignals::merge(std::slice::from_ref(&signals)));
+impl Mode<'_> {
+    /// Drives every ready window of the global windower (`drain`: up to
+    /// the covered span); the per-shard sessions drive themselves.
+    /// Lockstep projects each window onto every shard, steps all cores
+    /// and feeds the merged signals back, so the adaptive cut sequence
+    /// equals the unsharded run's on shard-disjoint input bit for bit.
+    fn drive_global(&mut self, partition: &GridPartition, drain: bool) {
+        match self {
+            Mode::PerShard { .. } => {}
+            Mode::Lockstep {
+                former,
+                cores,
+                shard_tasks,
+                shard_workers,
+            } => {
+                while let Some(window) = former.next_ready(drain) {
+                    let cut = former.last_decision;
+                    let signals: Vec<StepSignals> = cores
+                        .iter_mut()
+                        .enumerate()
+                        .map(|(k, core)| {
+                            let projected = project_window(&window, partition, k);
+                            shard_tasks[k] += projected.tasks.len();
+                            shard_workers[k] += projected.workers.len();
+                            core.step(&projected, cut)
+                        })
+                        .collect();
+                    former.observe(&StepSignals::merge(&signals));
+                }
+            }
+            Mode::Halo { former, core } => {
+                while let Some(window) = former.next_ready(drain) {
+                    let cut = former.last_decision;
+                    let signals = core.step_window(partition, &window, cut);
+                    former.observe(&StepSignals::merge(std::slice::from_ref(&signals)));
+                }
+            }
         }
     }
 }
@@ -879,8 +670,8 @@ fn drive_halo(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{ArrivalEvent, TaskArrival, WorkerArrival};
-    use crate::window::WindowPolicy;
+    use crate::driver::StreamDriver;
+    use crate::event::{TaskArrival, WorkerArrival};
     use dpta_core::{Method, Task, Worker};
     use dpta_spatial::{Aabb, Point};
 
@@ -914,7 +705,13 @@ mod tests {
         for method in [Method::Puce, Method::Grd] {
             let engine = method.engine(&cfg.params);
             let flat = StreamDriver::new(engine.as_ref(), cfg.clone()).run(&stream);
-            let sharded = run_sharded(engine.as_ref(), &stream, &cfg, &part);
+            let sharded = run_sharded(
+                engine.as_ref(),
+                &stream,
+                &cfg,
+                &part,
+                ShardStrategy::DropPairs,
+            );
             assert_eq!(sharded.matched(), flat.matched(), "{method}");
             assert!(
                 (sharded.total_utility() - flat.total_utility()).abs() < 1e-9,
@@ -944,7 +741,7 @@ mod tests {
         for method in [Method::Puce, Method::Pgt, Method::Grd] {
             let engine = method.engine(&cfg.params);
             let flat = StreamDriver::new(engine.as_ref(), cfg.clone()).run(&stream);
-            let halo = run_sharded_halo(engine.as_ref(), &stream, &cfg, &part);
+            let halo = run_sharded(engine.as_ref(), &stream, &cfg, &part, ShardStrategy::Halo);
             assert_eq!(halo.matched(), flat.matched(), "{method}");
             assert!(
                 (halo.total_utility() - flat.total_utility()).abs() < 1e-9,
@@ -995,8 +792,14 @@ mod tests {
         for method in [Method::Puce, Method::Pgt, Method::Grd] {
             let engine = method.engine(&cfg.params);
             let flat = StreamDriver::new(engine.as_ref(), cfg.clone()).run(&stream);
-            let dropped = run_sharded(engine.as_ref(), &stream, &cfg, &part);
-            let halo = run_sharded_halo(engine.as_ref(), &stream, &cfg, &part);
+            let dropped = run_sharded(
+                engine.as_ref(),
+                &stream,
+                &cfg,
+                &part,
+                ShardStrategy::DropPairs,
+            );
+            let halo = run_sharded(engine.as_ref(), &stream, &cfg, &part, ShardStrategy::Halo);
             assert_eq!(
                 dropped.matched(),
                 0,
@@ -1056,7 +859,7 @@ mod tests {
             ..StreamConfig::default()
         };
         let engine = Method::Grd.engine(&cfg.params);
-        let halo = run_sharded_halo(engine.as_ref(), &stream, &cfg, &part);
+        let halo = run_sharded(engine.as_ref(), &stream, &cfg, &part, ShardStrategy::Halo);
         assert_eq!(halo.matched(), 1, "one worker serves exactly one task");
         // The home shard (0) won the contested worker.
         assert_eq!(halo.shards[0].matched(), 1);
@@ -1119,8 +922,14 @@ mod tests {
             ..StreamConfig::default()
         };
         let engine = Method::Grd.engine(&cfg.params);
-        let dropped = run_sharded(engine.as_ref(), &stream, &cfg, &part);
-        let halo = run_sharded_halo(engine.as_ref(), &stream, &cfg, &part);
+        let dropped = run_sharded(
+            engine.as_ref(),
+            &stream,
+            &cfg,
+            &part,
+            ShardStrategy::DropPairs,
+        );
+        let halo = run_sharded(engine.as_ref(), &stream, &cfg, &part, ShardStrategy::Halo);
         // Drop-pairs: one worker per boundary shard plus the interior
         // pair. The halo must do no worse.
         assert_eq!(dropped.matched(), 3);
@@ -1153,7 +962,13 @@ mod tests {
             ..StreamConfig::default()
         };
         let engine = Method::Grd.engine(&cfg.params);
-        let sharded = run_sharded(engine.as_ref(), &stream, &cfg, &part);
+        let sharded = run_sharded(
+            engine.as_ref(),
+            &stream,
+            &cfg,
+            &part,
+            ShardStrategy::DropPairs,
+        );
         assert_eq!(sharded.shards.len(), 9);
         let populated = sharded
             .shards
@@ -1161,5 +976,137 @@ mod tests {
             .filter(|s| s.task_arrivals > 0)
             .count();
         assert_eq!(populated, 2);
+    }
+
+    /// An adversarially skewed stream: ~90 % of all entities crowd into
+    /// one hotspot cell, the rest sprinkle over the other 15 cells of a
+    /// 4×4 partition. Under work stealing the hotspot shard pins one
+    /// thread while the others race through the sprinkle shards — the
+    /// regime where which-thread-ran-what varies most between runs.
+    fn hotspot_stream() -> ArrivalStream {
+        let mut events = Vec::new();
+        for k in 0..200u32 {
+            // 90 % hotspot (cell at origin), 10 % elsewhere.
+            let (cx, cy) = if k % 10 != 9 {
+                (0.0, 0.0)
+            } else {
+                let cell = 1 + (k as usize / 10) % 15;
+                ((cell % 4) as f64 * 25.0, (cell / 4) as f64 * 25.0)
+            };
+            let x = cx + 4.0 + (k % 8) as f64 * 2.0;
+            let y = cy + 4.0 + (k % 5) as f64 * 3.0;
+            let t = k as f64 * 3.0;
+            events.push(ArrivalEvent::Worker(WorkerArrival {
+                id: k,
+                time: t,
+                worker: Worker::new(Point::new(x, y), 3.0),
+            }));
+            events.push(ArrivalEvent::Task(TaskArrival {
+                id: k,
+                time: t,
+                task: Task::new(Point::new(x + 1.0, y), 4.5),
+            }));
+        }
+        ArrivalStream::new(events)
+    }
+
+    /// The parallel close must be byte-identical across pool sizes
+    /// 1/2/8/auto and across repeated runs — on a hotspot-skewed stream
+    /// where the steal order genuinely differs run to run. The
+    /// comparison is on the full debug rendering of the timing-stripped
+    /// report, so any bit difference in any float anywhere fails.
+    #[test]
+    fn work_stealing_reports_are_identical_across_pool_sizes_and_runs() {
+        let stream = hotspot_stream();
+        let part = GridPartition::new(Aabb::from_extents(0.0, 0.0, 100.0, 100.0), 4, 4);
+        let cfg = StreamConfig {
+            policy: WindowPolicy::ByTime { width: 60.0 },
+            ..StreamConfig::default()
+        };
+        let engine = Method::Puce.engine(&cfg.params);
+        let run = |threads: Option<usize>| {
+            let mut session = ShardedSession::new(
+                engine.as_ref(),
+                cfg.clone(),
+                &part,
+                ShardStrategy::DropPairs,
+            );
+            session.threads = threads;
+            for &e in stream.events() {
+                session.push(e);
+            }
+            session.close().without_timing()
+        };
+        let reference = run(Some(1));
+        assert!(reference.matched() > 0, "hotspot stream matched nothing");
+        let rendered = format!("{reference:?}");
+        for pool in [Some(1), Some(2), Some(8), None] {
+            for rep in 0..2 {
+                let report = run(pool);
+                assert_eq!(
+                    report, reference,
+                    "pool {pool:?} rep {rep}: structural difference"
+                );
+                assert_eq!(
+                    format!("{report:?}"),
+                    rendered,
+                    "pool {pool:?} rep {rep}: byte-level difference"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn snapshot_carries_events_still_waiting_in_shard_inboxes() {
+        // No advance_to: every routed event still waits in an inbox, so
+        // the snapshot must show them as pushed — byte for byte what a
+        // restored session (whose shards took them in) writes back.
+        let part = GridPartition::new(Aabb::from_extents(0.0, 0.0, 10.0, 10.0), 2, 1);
+        let cfg = StreamConfig {
+            policy: WindowPolicy::ByTime { width: 5.0 },
+            ..StreamConfig::default()
+        };
+        let engine = Method::Puce.engine(&cfg.params);
+        let strategy = ShardStrategy::DropPairs;
+        let mut s = ShardedSession::new(engine.as_ref(), cfg.clone(), &part, strategy);
+        disjoint_stream().events().iter().for_each(|&e| s.push(e));
+        let json = s.snapshot().to_json();
+        let snap = ShardedSnapshot::from_json(&json).expect("snapshot parses");
+        let mut restored = ShardedSession::restore(engine.as_ref(), cfg, &part, strategy, &snap)
+            .expect("snapshot restores");
+        assert_eq!(restored.snapshot().to_json(), json);
+        assert_eq!(
+            restored.close().without_timing(),
+            s.close().without_timing()
+        );
+    }
+
+    /// Pushes `event` into a fresh default session over a 2×1 grid.
+    fn push_one(event: ArrivalEvent, strategy: ShardStrategy) {
+        let part = GridPartition::new(Aabb::from_extents(0.0, 0.0, 10.0, 10.0), 2, 1);
+        let cfg = StreamConfig::default();
+        let engine = Method::Grd.engine(&cfg.params);
+        ShardedSession::new(engine.as_ref(), cfg, &part, strategy).push(event);
+    }
+
+    #[test]
+    #[should_panic(expected = "worker radius must be finite and >= 0")]
+    fn sharded_push_rejects_a_negative_worker_radius() {
+        // Public fields bypass `Worker::new`; the push must not.
+        let mut event = disjoint_stream().events()[0];
+        if let ArrivalEvent::Worker(w) = &mut event {
+            w.worker.radius = -30.0;
+        }
+        push_one(event, ShardStrategy::Halo);
+    }
+
+    #[test]
+    #[should_panic(expected = "arrival location must be finite")]
+    fn sharded_push_rejects_a_nan_location() {
+        let mut event = disjoint_stream().events()[2];
+        if let ArrivalEvent::Task(t) = &mut event {
+            t.task.location.x = f64::NAN;
+        }
+        push_one(event, ShardStrategy::DropPairs);
     }
 }

@@ -38,8 +38,9 @@
 
 use crate::driver::StreamConfig;
 use crate::halo::HaloSnapshot;
-use crate::session::{CoreSnapshot, Outcome, WindowerSnapshot};
+use crate::session::{CoreSnapshot, Outcome};
 use crate::shard::ShardStrategy;
+use crate::window::WindowerSnapshot;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, VecDeque};
 

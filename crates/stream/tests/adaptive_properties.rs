@@ -17,7 +17,7 @@
 use dpta_core::{Method, Task, Worker};
 use dpta_spatial::{Aabb, GridPartition, Point};
 use dpta_stream::{
-    run_sharded, run_sharded_halo, AdaptivePolicy, ArrivalEvent, ArrivalModel, ArrivalStream,
+    run_sharded, AdaptivePolicy, ArrivalEvent, ArrivalModel, ArrivalStream, ShardStrategy,
     StreamConfig, StreamDriver, TaskArrival, TaskFate, WindowPolicy, WorkerArrival,
 };
 use proptest::prelude::*;
@@ -254,8 +254,8 @@ proptest! {
             let engine = method.engine(&cfg.params);
             let flat = StreamDriver::new(engine.as_ref(), cfg.clone()).run(&stream);
             for (label, sharded) in [
-                ("drop-pairs", run_sharded(engine.as_ref(), &stream, &cfg, &part)),
-                ("halo", run_sharded_halo(engine.as_ref(), &stream, &cfg, &part)),
+                ("drop-pairs", run_sharded(engine.as_ref(), &stream, &cfg, &part, ShardStrategy::DropPairs)),
+                ("halo", run_sharded(engine.as_ref(), &stream, &cfg, &part, ShardStrategy::Halo)),
             ] {
                 prop_assert_eq!(sharded.matched(), flat.matched(), "{}/{}", method, label);
                 prop_assert!(

@@ -21,8 +21,8 @@
 use dpta_core::{Method, Task, Worker};
 use dpta_spatial::{Aabb, GridPartition, Point};
 use dpta_stream::{
-    run_sharded, run_sharded_halo, AdmissionConfig, ArrivalEvent, ArrivalStream, LedgerMode,
-    PacingConfig, ServiceModel, SessionSnapshot, StreamConfig, StreamDriver, StreamSession,
+    run_sharded, AdmissionConfig, ArrivalEvent, ArrivalStream, LedgerMode, PacingConfig,
+    ServiceModel, SessionSnapshot, ShardStrategy, StreamConfig, StreamDriver, StreamSession,
     TaskArrival, TaskFate, WindowPolicy, WorkerArrival,
 };
 use proptest::prelude::*;
@@ -130,12 +130,12 @@ proptest! {
             prop_assert_eq!(
                 a.without_timing(), b.without_timing(), "{} flat", method);
             // Drop-pairs sharding.
-            let a = run_sharded(engine.as_ref(), &stream, &life, &part);
-            let b = run_sharded(engine.as_ref(), &stream, &winf, &part);
+            let a = run_sharded(engine.as_ref(), &stream, &life, &part, ShardStrategy::DropPairs);
+            let b = run_sharded(engine.as_ref(), &stream, &winf, &part, ShardStrategy::DropPairs);
             prop_assert_eq!(merged(&a), merged(&b), "{} drop-pairs", method);
             // Boundary-halo sharding.
-            let a = run_sharded_halo(engine.as_ref(), &stream, &life, &part);
-            let b = run_sharded_halo(engine.as_ref(), &stream, &winf, &part);
+            let a = run_sharded(engine.as_ref(), &stream, &life, &part, ShardStrategy::Halo);
+            let b = run_sharded(engine.as_ref(), &stream, &winf, &part, ShardStrategy::Halo);
             prop_assert_eq!(merged(&a), merged(&b), "{} halo", method);
         }
     }

@@ -22,8 +22,8 @@
 use dpta_core::{Method, Task, Worker};
 use dpta_spatial::{Aabb, GridPartition, Point};
 use dpta_stream::{
-    run_sharded, run_sharded_halo, ArrivalEvent, ArrivalStream, StreamConfig, TaskArrival,
-    TaskFate, WindowPolicy, WorkerArrival,
+    run_sharded, ArrivalEvent, ArrivalStream, ShardStrategy, StreamConfig, TaskArrival, TaskFate,
+    WindowPolicy, WorkerArrival,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -74,8 +74,8 @@ proptest! {
 
         for method in [Method::Grd, Method::Uce, Method::Puce] {
             let engine = method.engine(&cfg.params);
-            let halo = run_sharded_halo(engine.as_ref(), &stream, &cfg, &part);
-            let dropped = run_sharded(engine.as_ref(), &stream, &cfg, &part);
+            let halo = run_sharded(engine.as_ref(), &stream, &cfg, &part, ShardStrategy::Halo);
+            let dropped = run_sharded(engine.as_ref(), &stream, &cfg, &part, ShardStrategy::DropPairs);
 
             // ── No duplicate assignments ─────────────────────────────
             // Every task settles exactly once, in its home shard…
@@ -103,7 +103,7 @@ proptest! {
 
             // ── Budget charged at most once ──────────────────────────
             // Determinism: a replay charges bit-identical spend.
-            let replay = run_sharded_halo(engine.as_ref(), &stream, &cfg, &part);
+            let replay = run_sharded(engine.as_ref(), &stream, &cfg, &part, ShardStrategy::Halo);
             for (a, b) in halo.shards.iter().zip(&replay.shards) {
                 prop_assert_eq!(&a.spend_by_worker, &b.spend_by_worker, "{}", method);
                 prop_assert_eq!(&a.fates, &b.fates, "{}", method);
@@ -141,8 +141,8 @@ proptest! {
         let cfg = cfg(); // 300 s windows ⊇ the 250 s arrival span
         for method in [Method::Grd, Method::Uce] {
             let engine = method.engine(&cfg.params);
-            let halo = run_sharded_halo(engine.as_ref(), &stream, &cfg, &part);
-            let dropped = run_sharded(engine.as_ref(), &stream, &cfg, &part);
+            let halo = run_sharded(engine.as_ref(), &stream, &cfg, &part, ShardStrategy::Halo);
+            let dropped = run_sharded(engine.as_ref(), &stream, &cfg, &part, ShardStrategy::DropPairs);
             prop_assert!(
                 halo.total_utility() + 1e-9 >= dropped.total_utility(),
                 "{}: halo {} < drop-pairs {}",
@@ -178,7 +178,7 @@ proptest! {
                     method, w, spent, capacity
                 );
             }
-            let halo = run_sharded_halo(engine.as_ref(), &stream, &cfg, &part);
+            let halo = run_sharded(engine.as_ref(), &stream, &cfg, &part, ShardStrategy::Halo);
             for s in &halo.shards {
                 for (&w, &spent) in &s.spend_by_worker {
                     prop_assert!(

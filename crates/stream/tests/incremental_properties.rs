@@ -28,8 +28,8 @@
 use dpta_core::{DeltaInstance, Instance, Method, Task, Worker};
 use dpta_spatial::{Aabb, GridPartition, Point};
 use dpta_stream::{
-    run_sharded_halo, ArrivalEvent, ArrivalStream, StreamConfig, TaskArrival, WindowPolicy,
-    WorkerArrival,
+    run_sharded, ArrivalEvent, ArrivalStream, ShardStrategy, StreamConfig, TaskArrival,
+    WindowPolicy, WorkerArrival,
 };
 use dpta_workloads::budgets::BudgetGen;
 use proptest::prelude::*;
@@ -187,8 +187,8 @@ proptest! {
 
         for method in [Method::Grd, Method::Uce, Method::Puce, Method::Pgt, Method::GeoI] {
             let engine = method.engine(&base.params);
-            let incremental = run_sharded_halo(engine.as_ref(), &stream, &base, &part);
-            let full = run_sharded_halo(engine.as_ref(), &stream, &full_cfg, &part);
+            let incremental = run_sharded(engine.as_ref(), &stream, &base, &part, ShardStrategy::Halo);
+            let full = run_sharded(engine.as_ref(), &stream, &full_cfg, &part, ShardStrategy::Halo);
 
             prop_assert_eq!(incremental.shards.len(), full.shards.len());
             for (k, (inc, refr)) in incremental.shards.iter().zip(&full.shards).enumerate() {
@@ -283,8 +283,14 @@ fn incremental_mode_rederives_strictly_less() {
     };
     for method in [Method::Grd, Method::Puce] {
         let engine = method.engine(&base.params);
-        let inc = run_sharded_halo(engine.as_ref(), &stream, &base, &part);
-        let full = run_sharded_halo(engine.as_ref(), &stream, &full_cfg, &part);
+        let inc = run_sharded(engine.as_ref(), &stream, &base, &part, ShardStrategy::Halo);
+        let full = run_sharded(
+            engine.as_ref(),
+            &stream,
+            &full_cfg,
+            &part,
+            ShardStrategy::Halo,
+        );
         let pubs_inc: usize = inc
             .shards
             .iter()

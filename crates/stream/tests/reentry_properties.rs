@@ -19,7 +19,7 @@
 use dpta_core::{Method, Task, Worker};
 use dpta_spatial::{Aabb, GridPartition, Point};
 use dpta_stream::{
-    run_sharded, run_sharded_halo, AdaptivePolicy, ArrivalEvent, ArrivalStream, ServiceModel,
+    run_sharded, AdaptivePolicy, ArrivalEvent, ArrivalStream, ServiceModel, ShardStrategy,
     ShardedReport, StreamConfig, StreamDriver, StreamReport, TaskArrival, TaskFate, WindowPolicy,
     WorkerArrival,
 };
@@ -168,8 +168,8 @@ proptest! {
                 "{}: re-entry broke replay determinism", method
             );
 
-            let dropped = run_sharded(engine.as_ref(), &stream, &cfg, &part);
-            let halo = run_sharded_halo(engine.as_ref(), &stream, &cfg, &part);
+            let dropped = run_sharded(engine.as_ref(), &stream, &cfg, &part, ShardStrategy::DropPairs);
+            let halo = run_sharded(engine.as_ref(), &stream, &cfg, &part, ShardStrategy::Halo);
             let flat_fates: Vec<(u32, TaskFate)> =
                 flat.fates.iter().map(|(&id, &f)| (id, f)).collect();
             prop_assert_eq!(&merged_fates(&dropped), &flat_fates, "{}: drop-pairs fates", method);
@@ -228,7 +228,7 @@ proptest! {
                     method, w, spent, capacity
                 );
             }
-            let halo = run_sharded_halo(engine.as_ref(), &stream, &cfg, &part);
+            let halo = run_sharded(engine.as_ref(), &stream, &cfg, &part, ShardStrategy::Halo);
             for (w, spent) in merged_spend(&halo) {
                 prop_assert!(
                     spent <= capacity + 1e-9,

@@ -13,10 +13,12 @@
 //!   The oracle is the set of cross-path equivalences that were pinned
 //!   *before* interning landed: drain ≡ push-session, flat ≡ sharded
 //!   on shard-disjoint input, repeat ≡ first run.
-//! * **work-stealing determinism** — sharded execution is
-//!   byte-identical across pool sizes 1/2/8/auto and across repeated
-//!   runs, including on an adversarially skewed hotspot-cell stream
-//!   where job-stealing order genuinely varies between runs.
+//! * **parallel close ≡ sequential advance** — a drop-pairs sharded
+//!   session that is pushed whole and closed (populated shards drain
+//!   concurrently on the work-stealing pool) reports exactly what the
+//!   same session reports when `advance_to` drives every window as time
+//!   passes, shard after shard. (Pool-size invariance is a unit test
+//!   beside the pool, which owns its private thread count.)
 //! * **wire-format stability** — the committed v1 session snapshot
 //!   still parses and round-trips byte-identically, and snapshots key
 //!   everything by *logical* id: intern symbols (first-insertion
@@ -26,8 +28,8 @@
 use dpta_core::{Method, Task, Worker};
 use dpta_spatial::{Aabb, GridPartition, Point};
 use dpta_stream::{
-    run_sharded_halo, run_sharded_pooled, AdaptivePolicy, ArrivalEvent, ArrivalStream, Outcome,
-    SessionSnapshot, ShardStrategy, ShardedReport, StreamConfig, StreamDriver, StreamSession,
+    run_sharded, AdaptivePolicy, ArrivalEvent, ArrivalStream, Outcome, SessionSnapshot,
+    ShardStrategy, ShardedReport, ShardedSession, StreamConfig, StreamDriver, StreamSession,
     TaskArrival, TaskFate, WindowPolicy, WorkerArrival,
 };
 use proptest::prelude::*;
@@ -234,7 +236,7 @@ proptest! {
 
                 // Halo sharding windows globally, so it must reproduce
                 // the flat run under every policy on disjoint input.
-                let halo = run_sharded_halo(engine.as_ref(), &stream, &cfg, &part);
+                let halo = run_sharded(engine.as_ref(), &stream, &cfg, &part, ShardStrategy::Halo);
                 prop_assert_eq!(
                     merge_fates(&halo), flat.fates.clone(),
                     "{}/{:?}: halo fates diverged", method, policy
@@ -248,10 +250,7 @@ proptest! {
                 // a time grid and under the lockstep adaptive runner,
                 // structurally misaligned under count windows (the
                 // runner says so itself via its shard warning).
-                let dropped = run_sharded_pooled(
-                    engine.as_ref(), &stream, &cfg, &part,
-                    ShardStrategy::DropPairs, None,
-                );
+                let dropped = run_sharded(engine.as_ref(), &stream, &cfg, &part, ShardStrategy::DropPairs);
                 if matches!(policy, WindowPolicy::ByCount { .. }) {
                     prop_assert!(
                         dropped.shards.iter().any(|s| !s.warnings.is_empty()),
@@ -287,87 +286,44 @@ proptest! {
             }
         }
     }
-}
 
-// ── Work-stealing determinism ───────────────────────────────────────
-
-/// An adversarially skewed stream: ~90 % of all entities crowd into
-/// one hotspot cell, the rest sprinkle over the other 15 cells of a
-/// 4×4 partition. Under work stealing the hotspot shard pins one
-/// thread while the others race through the sprinkle shards — the
-/// regime where which-thread-ran-what varies most between runs.
-fn hotspot_stream() -> ArrivalStream {
-    let mut events = Vec::new();
-    for k in 0..200u32 {
-        // 90 % hotspot (cell at origin), 10 % elsewhere.
-        let (cx, cy) = if k % 10 != 9 {
-            (0.0, 0.0)
-        } else {
-            let cell = 1 + (k as usize / 10) % 15;
-            ((cell % 4) as f64 * 25.0, (cell / 4) as f64 * 25.0)
-        };
-        let x = cx + 4.0 + (k % 8) as f64 * 2.0;
-        let y = cy + 4.0 + (k % 5) as f64 * 3.0;
-        let t = k as f64 * 3.0;
-        events.push(ArrivalEvent::Worker(WorkerArrival {
-            id: k,
-            time: t,
-            worker: Worker::new(Point::new(x, y), 3.0),
-        }));
-        events.push(ArrivalEvent::Task(TaskArrival {
-            id: k,
-            time: t,
-            task: Task::new(Point::new(x + 1.0, y), 4.5),
-        }));
-    }
-    ArrivalStream::new(events)
-}
-
-/// Work-stealing shard execution must be byte-identical across pool
-/// sizes 1/2/8/auto and across repeated runs — on a hotspot-skewed
-/// stream where the steal order genuinely differs run to run. The
-/// comparison is on the full debug rendering of the timing-stripped
-/// report, so any bit difference in any float anywhere fails.
-#[test]
-fn work_stealing_reports_are_identical_across_pool_sizes_and_runs() {
-    let stream = hotspot_stream();
-    let part = GridPartition::new(Aabb::from_extents(0.0, 0.0, 100.0, 100.0), 4, 4);
-    let cfg = StreamConfig {
-        policy: WindowPolicy::ByTime { width: 60.0 },
-        ..StreamConfig::default()
-    };
-    let engine = Method::Puce.engine(&cfg.params);
-    let reference = run_sharded_pooled(
-        engine.as_ref(),
-        &stream,
-        &cfg,
-        &part,
-        ShardStrategy::DropPairs,
-        Some(1),
-    )
-    .without_timing();
-    assert!(reference.matched() > 0, "hotspot stream matched nothing");
-    let rendered = format!("{reference:?}");
-    for pool in [Some(1), Some(2), Some(8), None] {
-        for rep in 0..2 {
-            let run = run_sharded_pooled(
-                engine.as_ref(),
-                &stream,
-                &cfg,
-                &part,
-                ShardStrategy::DropPairs,
-                pool,
-            )
-            .without_timing();
-            assert_eq!(
-                run, reference,
-                "pool {pool:?} rep {rep}: structural difference"
-            );
-            assert_eq!(
-                format!("{run:?}"),
-                rendered,
-                "pool {pool:?} rep {rep}: byte-level difference"
-            );
+    // The parallel close is invisible: pushing a whole stream and
+    // closing reports exactly what the same session reports when
+    // `advance_to` drives every window as the events go past.
+    #[test]
+    fn parallel_close_matches_sequential_advance(
+        tasks in proptest::collection::vec(
+            (0usize..4, 0.0f64..1.0, 0.0f64..1.0, 0.0f64..900.0), 4..24),
+        raw_workers in proptest::collection::vec(
+            ((0usize..4, 0.0f64..1.0, 0.0f64..1.0), (1.0f64..10.0, 0.0f64..600.0)), 3..12),
+    ) {
+        let workers: Vec<(usize, f64, f64, f64, f64)> = raw_workers
+            .iter()
+            .map(|&((cell, fx, fy), (r, t))| (cell, fx, fy, r, t))
+            .collect();
+        let stream = clustered_stream(&tasks, &workers);
+        let part = partition();
+        for policy in [
+            WindowPolicy::ByTime { width: 200.0 },
+            WindowPolicy::Adaptive(AdaptivePolicy::default()),
+        ] {
+            let cfg = StreamConfig { policy, ..StreamConfig::default() };
+            for method in [Method::Grd, Method::Puce] {
+                let engine = method.engine(&cfg.params);
+                let closed = run_sharded(
+                    engine.as_ref(), &stream, &cfg, &part, ShardStrategy::DropPairs);
+                let mut session = ShardedSession::new(
+                    engine.as_ref(), cfg.clone(), &part, ShardStrategy::DropPairs);
+                for &e in stream.events() {
+                    session.push(e);
+                    session.advance_to(e.time());
+                }
+                let advanced = session.close();
+                prop_assert_eq!(
+                    closed.without_timing(), advanced.without_timing(),
+                    "{}/{:?}: parallel close diverged from advance_to", method, policy
+                );
+            }
         }
     }
 }

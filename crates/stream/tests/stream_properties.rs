@@ -12,7 +12,7 @@
 use dpta_core::{Method, Task, Worker};
 use dpta_spatial::{Aabb, GridPartition, Point};
 use dpta_stream::{
-    run_sharded, run_sharded_halo, ArrivalEvent, ArrivalModel, ArrivalStream, StreamConfig,
+    run_sharded, ArrivalEvent, ArrivalModel, ArrivalStream, ShardStrategy, StreamConfig,
     StreamDriver, StreamScenario, TaskArrival, TaskFate, WindowPolicy, WorkerArrival,
 };
 use dpta_workloads::{Dataset, Scenario};
@@ -164,7 +164,13 @@ fn sharded_equals_unsharded_for_private_and_plain_engines() {
     for method in [Method::Puce, Method::Pgt, Method::Uce, Method::Grd] {
         let engine = method.engine(&cfg.params);
         let flat = StreamDriver::new(engine.as_ref(), cfg.clone()).run(&stream);
-        let sharded = run_sharded(engine.as_ref(), &stream, &cfg, &part);
+        let sharded = run_sharded(
+            engine.as_ref(),
+            &stream,
+            &cfg,
+            &part,
+            ShardStrategy::DropPairs,
+        );
         assert_eq!(sharded.matched(), flat.matched(), "{method}");
         assert!(
             (sharded.total_utility() - flat.total_utility()).abs() < 1e-9,
@@ -192,7 +198,7 @@ fn sharded_equals_unsharded_for_private_and_plain_engines() {
 
         // The halo protocol degrades to drop-pairs on disjoint input:
         // same fates, same totals, same per-worker lifetime spend.
-        let halo = run_sharded_halo(engine.as_ref(), &stream, &cfg, &part);
+        let halo = run_sharded(engine.as_ref(), &stream, &cfg, &part, ShardStrategy::Halo);
         assert_eq!(halo.matched(), flat.matched(), "halo {method}");
         assert!(
             (halo.total_utility() - flat.total_utility()).abs() < 1e-9,

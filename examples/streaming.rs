@@ -138,7 +138,13 @@ fn main() {
 
     let engine = Method::Puce.engine(&cfg.params);
     let flat = StreamDriver::new(engine.as_ref(), cfg.clone()).run(&disjoint);
-    let sharded = run_sharded(engine.as_ref(), &disjoint, &cfg, &part);
+    let sharded = run_sharded(
+        engine.as_ref(),
+        &disjoint,
+        &cfg,
+        &part,
+        ShardStrategy::DropPairs,
+    );
     println!("{}", sharded.render());
     assert_eq!(sharded.matched(), flat.matched());
     assert!((sharded.total_utility() - flat.total_utility()).abs() < 1e-9);
@@ -170,8 +176,14 @@ fn main() {
     }
     let crossing = ArrivalStream::new(events);
     assert!(!crossing.is_shard_disjoint(&part));
-    let dropped = run_sharded(engine.as_ref(), &crossing, &cfg, &part);
-    let halo = run_sharded_halo(engine.as_ref(), &crossing, &cfg, &part);
+    let dropped = run_sharded(
+        engine.as_ref(),
+        &crossing,
+        &cfg,
+        &part,
+        ShardStrategy::DropPairs,
+    );
+    let halo = run_sharded(engine.as_ref(), &crossing, &cfg, &part, ShardStrategy::Halo);
     println!(
         "crossing stream: drop-pairs matched {} (utility {:.2}) | halo matched {} \
          (utility {:.2}) — cross-shard pairs recovered ✓\n",

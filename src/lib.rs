@@ -128,11 +128,10 @@ pub mod prelude {
     pub use dpta_matching::Assignment;
     pub use dpta_spatial::{Circle, GridPartition, Point};
     pub use dpta_stream::{
-        run_sharded, run_sharded_halo, run_sharded_with, AdmissionConfig, ArrivalModel,
-        ArrivalStream, ConfigError, LedgerMode, Outcome, PacingConfig, ServiceModel,
-        SessionSnapshot, ShardStrategy, ShardedSession, ShardedSnapshot, SnapshotError,
-        StreamConfig, StreamConfigBuilder, StreamDriver, StreamReport, StreamScenario,
-        StreamSession, WindowPolicy,
+        run_sharded, AdmissionConfig, ArrivalModel, ArrivalStream, ConfigError, LedgerMode,
+        Outcome, PacingConfig, ServiceModel, SessionSnapshot, ShardStrategy, ShardedSession,
+        ShardedSnapshot, SnapshotError, StreamConfig, StreamConfigBuilder, StreamDriver,
+        StreamReport, StreamScenario, StreamSession, WindowPolicy,
     };
     pub use dpta_workloads::{Dataset, Scenario};
 }
