@@ -66,6 +66,42 @@ pub enum ShardStrategy {
     /// home-shard priority) so no worker is ever assigned twice and
     /// every release is charged exactly once. Bit-for-bit equal to the
     /// unsharded run on shard-disjoint input, near-exact in general.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use dpta_core::{Method, Task, Worker};
+    /// use dpta_spatial::{Aabb, GridPartition, Point};
+    /// use dpta_stream::{
+    ///     run_sharded, ArrivalEvent, ArrivalStream, ShardStrategy, StreamConfig, TaskArrival,
+    ///     WindowPolicy, WorkerArrival,
+    /// };
+    ///
+    /// // One worker left of x = 5, one task right of it: the only feasible
+    /// // pair crosses the shard boundary.
+    /// let stream = ArrivalStream::new(vec![
+    ///     ArrivalEvent::Worker(WorkerArrival {
+    ///         id: 0,
+    ///         time: 0.0,
+    ///         worker: Worker::new(Point::new(4.5, 5.0), 2.0),
+    ///     }),
+    ///     ArrivalEvent::Task(TaskArrival {
+    ///         id: 0,
+    ///         time: 1.0,
+    ///         task: Task::new(Point::new(5.5, 5.0), 4.5),
+    ///     }),
+    /// ]);
+    /// let part = GridPartition::new(Aabb::from_extents(0.0, 0.0, 10.0, 10.0), 2, 1);
+    /// let cfg = StreamConfig {
+    ///     policy: WindowPolicy::ByTime { width: 10.0 },
+    ///     ..StreamConfig::default()
+    /// };
+    /// let engine = Method::Grd.engine(&cfg.params);
+    /// let run = |strategy| run_sharded(engine.as_ref(), &stream, &cfg, &part, strategy);
+    /// // Drop-pairs sharding loses the pair; the halo recovers it.
+    /// assert_eq!(run(ShardStrategy::DropPairs).matched(), 0);
+    /// assert_eq!(run(ShardStrategy::Halo).matched(), 1);
+    /// ```
     Halo,
 }
 
@@ -77,43 +113,35 @@ pub enum ShardStrategy {
 /// policy and a [shard-disjoint](ArrivalStream::is_shard_disjoint)
 /// stream the merged totals equal the unsharded run's exactly —
 /// asserted by the crate's equivalence tests. [`ShardStrategy::Halo`]
-/// recovers the cross-boundary pairs drop-pairs loses; see
-/// `ARCHITECTURE.md` ("Sharding & the halo protocol").
+/// recovers the cross-boundary pairs drop-pairs loses (its example
+/// shows one such pair); see `ARCHITECTURE.md` ("Sharding & the halo
+/// protocol").
 ///
 /// # Examples
 ///
 /// ```
-/// use dpta_core::{Method, Task, Worker};
-/// use dpta_spatial::{Aabb, GridPartition, Point};
-/// use dpta_stream::{
-///     run_sharded, ArrivalEvent, ArrivalStream, ShardStrategy, StreamConfig, TaskArrival,
-///     WindowPolicy, WorkerArrival,
-/// };
+/// use dpta_core::Method;
+/// use dpta_spatial::{Aabb, GridPartition};
+/// use dpta_stream::{run_sharded, ShardStrategy, StreamConfig, StreamScenario, WindowPolicy};
+/// use dpta_workloads::{Dataset, Scenario};
 ///
-/// // One worker left of x = 5, one task right of it: the only feasible
-/// // pair crosses the shard boundary.
-/// let stream = ArrivalStream::new(vec![
-///     ArrivalEvent::Worker(WorkerArrival {
-///         id: 0,
-///         time: 0.0,
-///         worker: Worker::new(Point::new(4.5, 5.0), 2.0),
-///     }),
-///     ArrivalEvent::Task(TaskArrival {
-///         id: 0,
-///         time: 1.0,
-///         task: Task::new(Point::new(5.5, 5.0), 4.5),
-///     }),
-/// ]);
-/// let part = GridPartition::new(Aabb::from_extents(0.0, 0.0, 10.0, 10.0), 2, 1);
+/// let stream = StreamScenario::new(Scenario {
+///     batch_size: 30,
+///     n_batches: 2,
+///     worker_range: 1.0,
+///     ..Scenario::for_dataset(Dataset::Uniform)
+/// })
+/// .stream();
 /// let cfg = StreamConfig {
-///     policy: WindowPolicy::ByTime { width: 10.0 },
+///     policy: WindowPolicy::ByTime { width: 60.0 },
 ///     ..StreamConfig::default()
 /// };
+/// let part = GridPartition::new(Aabb::from_extents(0.0, 0.0, 100.0, 100.0), 2, 2);
 /// let engine = Method::Grd.engine(&cfg.params);
-/// let run = |strategy| run_sharded(engine.as_ref(), &stream, &cfg, &part, strategy);
-/// // Drop-pairs sharding loses the pair; the halo recovers it.
-/// assert_eq!(run(ShardStrategy::DropPairs).matched(), 0);
-/// assert_eq!(run(ShardStrategy::Halo).matched(), 1);
+/// let sharded = run_sharded(engine.as_ref(), &stream, &cfg, &part, ShardStrategy::DropPairs);
+/// assert_eq!(sharded.shards.len(), 4);
+/// let direct: usize = sharded.shards.iter().map(|s| s.task_arrivals).sum();
+/// assert_eq!(direct, stream.n_tasks());
 /// ```
 pub fn run_sharded(
     engine: &dyn AssignmentEngine,
