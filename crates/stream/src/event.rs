@@ -116,11 +116,9 @@ impl ArrivalEvent {
 }
 
 /// The arrival contract every session enforces on `push`: a finite,
-/// non-negative time at or above the `watermark`, a finite location, a
-/// finite, non-negative task value or worker radius (what `Task::new`
-/// and `Worker::new` check, and public fields bypass), and an id unique
-/// per entity kind, recorded in `task_ids` / `worker_ids`. Panics on a
-/// violation.
+/// non-negative time at or above the `watermark`, an entity that passes
+/// [`check_entity`], and an id unique per entity kind, recorded in
+/// `task_ids` / `worker_ids`. Panics on a violation.
 pub(crate) fn check_arrival(
     event: &ArrivalEvent,
     watermark: f64,
@@ -137,24 +135,37 @@ pub(crate) fn check_arrival(
         "late arrival: event at t = {t} is below the watermark {watermark} \
          (its window may already be driven)"
     );
-    let at = event.location();
-    assert!(
-        at.x.is_finite() && at.y.is_finite(),
-        "arrival location must be finite, got {at:?}"
-    );
-    let (field, size, seen) = match event {
-        ArrivalEvent::Task(a) => ("task value", a.task.value, task_ids),
-        ArrivalEvent::Worker(a) => ("worker radius", a.worker.radius, worker_ids),
+    if let Err(why) = check_entity(event) {
+        panic!("{why}");
+    }
+    let seen = match event {
+        ArrivalEvent::Task(_) => task_ids,
+        ArrivalEvent::Worker(_) => worker_ids,
     };
-    assert!(
-        size.is_finite() && size >= 0.0,
-        "{field} must be finite and >= 0, got {size}"
-    );
     let seen_before = seen.len();
     assert!(
         seen.intern(u64::from(event.id())) as usize == seen_before,
         "arrival ids must be unique per entity kind"
     );
+}
+
+/// The entity half of the arrival contract, shared by `push` and
+/// snapshot restore: a finite location and a finite, non-negative task
+/// value or worker radius (what `Task::new` and `Worker::new` check,
+/// and public fields bypass). Returns the violation.
+pub(crate) fn check_entity(event: &ArrivalEvent) -> Result<(), String> {
+    let at = event.location();
+    if !(at.x.is_finite() && at.y.is_finite()) {
+        return Err(format!("arrival location must be finite, got {at:?}"));
+    }
+    let (field, size) = match event {
+        ArrivalEvent::Task(a) => ("task value", a.task.value),
+        ArrivalEvent::Worker(a) => ("worker radius", a.worker.radius),
+    };
+    if !(size.is_finite() && size >= 0.0) {
+        return Err(format!("{field} must be finite and >= 0, got {size}"));
+    }
+    Ok(())
 }
 
 /// A validated, time-ordered arrival log.

@@ -88,7 +88,7 @@ use crate::session::{
     admit_tasks, refresh_pacing, retire_exhausted, waiting_ages, PaceState, StepSignals,
 };
 use crate::shard::parallel_map;
-use crate::snapshot::SnapshotError;
+use crate::snapshot::{check_live_entities, SnapshotError};
 use crate::window::Window;
 use dpta_core::board::LOCATION_RELEASE;
 use dpta_core::{AssignmentEngine, Board, DeltaInstance, Instance, RunOutcome};
@@ -976,6 +976,12 @@ impl<'e> HaloCore<'e> {
                 "halo in-service set is not in (completion time, id) order".to_string(),
             ));
         }
+        check_live_entities(
+            snap.pool
+                .iter()
+                .chain(snap.in_service.iter().map(|s| &s.worker)),
+            snap.pending.iter().chain(&snap.deferred),
+        )?;
         let mut core = HaloCore::new(engine, cfg, n_shards);
         core.shard_windows = snap.shard_windows.clone();
         core.shard_fates = snap.shard_fates.clone();

@@ -43,7 +43,7 @@ use crate::event::{check_arrival, ArrivalEvent, TaskArrival, WorkerArrival};
 use crate::metrics::{
     percentile, StreamReport, TaskFate, WindowCutDecision, WindowFeedback, WindowReport,
 };
-use crate::snapshot::{SessionSnapshot, SnapshotError, SNAPSHOT_VERSION};
+use crate::snapshot::{check_live_entities, SessionSnapshot, SnapshotError, SNAPSHOT_VERSION};
 use crate::window::{Window, WindowPolicy, Windower};
 use dpta_core::board::LOCATION_RELEASE;
 use dpta_core::metrics::measure;
@@ -556,6 +556,11 @@ impl<'e> SessionCore<'e> {
         }
     }
 
+    /// Entities the core holds: pool, pending, deferred and in service.
+    pub(crate) fn live(&self) -> usize {
+        self.pool.len() + self.pending.len() + self.deferred.len() + self.in_service.len()
+    }
+
     /// Drains the outcome log accumulated since the last drain.
     pub(crate) fn drain_outcomes(&mut self) -> Vec<Outcome> {
         self.outcomes.drain(..).collect()
@@ -590,11 +595,19 @@ impl<'e> SessionCore<'e> {
     /// the pending set (tasks, in pending order) — the maintained order
     /// equals the live session's insertion order, so the rebuilt
     /// instance emission is bit-identical to the uninterrupted run's.
+    /// A carried entity that `push` would refuse is
+    /// [`SnapshotError::Malformed`].
     pub(crate) fn from_snapshot(
         engine: &'e dyn AssignmentEngine,
         cfg: StreamConfig,
         snap: &CoreSnapshot,
-    ) -> Self {
+    ) -> Result<Self, SnapshotError> {
+        check_live_entities(
+            snap.pool
+                .iter()
+                .chain(snap.in_service.iter().map(|s| &s.worker)),
+            snap.pending.iter().chain(&snap.deferred),
+        )?;
         let mut core = SessionCore::new(engine, cfg);
         core.pool = snap.pool.clone();
         core.pending = snap.pending.clone();
@@ -625,7 +638,7 @@ impl<'e> SessionCore<'e> {
                     core.budget_gen.vector(tk as usize, wk as usize)
                 });
         }
-        core
+        Ok(core)
     }
 
     /// Settles remaining fates and assembles the aggregate report.
@@ -1322,7 +1335,7 @@ impl<'e> StreamSession<'e> {
     ) -> Result<Self, SnapshotError> {
         snapshot.validate(engine.name(), &cfg)?;
         let former = Windower::from_snapshot(cfg.policy, cfg.horizon, &snapshot.windower)?;
-        let core = SessionCore::from_snapshot(engine, cfg, &snapshot.core);
+        let core = SessionCore::from_snapshot(engine, cfg, &snapshot.core)?;
         Ok(StreamSession {
             core: Some(core),
             former,

@@ -20,7 +20,8 @@
 //! There is one execution path: [`run_sharded`] pushes a whole stream
 //! into a [`ShardedSession`] and closes it. Shard jobs fan out over the
 //! crate's one thread pool (`parallel_map`), used by the drop-pairs
-//! close and by the halo coordinator's reconciliation passes.
+//! `advance_to` and close and by the halo coordinator's reconciliation
+//! passes.
 
 use crate::driver::StreamConfig;
 use crate::event::{check_arrival, ArrivalEvent, ArrivalStream};
@@ -34,7 +35,7 @@ use dpta_dp::Interner;
 use dpta_spatial::GridPartition;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// The warning drop-pairs sharding attaches to every shard report when
 /// it runs under a count policy: count windows close on shard-local
@@ -157,78 +158,89 @@ pub fn run_sharded(
     session.close()
 }
 
-/// The crate's one thread pool: runs `work` over `jobs` on up to
-/// `threads` scoped threads (`None` = one per available core) and
-/// returns the results **in job order**.
+/// The crate's one thread pool: runs `work` over `jobs` on the
+/// caller's thread plus up to `threads − 1` scoped threads (`None` =
+/// one thread per available core) and returns the results **in job
+/// order**.
 ///
 /// Jobs sit in one queue ordered heaviest first by `weight`
-/// (longest-processing-time, ties by index) and every idle thread
-/// steals the next one, so on skewed input the makespan approaches the
-/// max(job, total/threads) bound. Each result is a pure function of its
-/// job and lands in the job's slot: which thread ran a job, and when,
-/// is unobservable. A panicking job re-raises on the caller's thread.
+/// (longest-processing-time, ties by index) and every idle thread,
+/// the caller's included, steals the next one, so on skewed input the
+/// makespan approaches the max(job, total/threads) bound. A call with
+/// at most one job of non-zero weight runs inline. Each result is a
+/// pure function of its job and lands in the job's slot: which thread
+/// ran a job, and when, is unobservable. A panicking job re-raises on
+/// the caller's thread.
 pub(crate) fn parallel_map<J: Send, R: Send>(
     jobs: Vec<J>,
     weight: impl Fn(&J) -> usize,
     threads: Option<usize>,
     work: impl Fn(J) -> R + Sync,
 ) -> Vec<R> {
-    let auto = || std::thread::available_parallelism().map_or(8, std::num::NonZeroUsize::get);
-    let threads = jobs.len().min(threads.unwrap_or_else(auto).max(1));
+    // Read once: on Linux each call reads the cgroup quota files, and
+    // `advance_to` enters the pool once per window.
+    static CORES: OnceLock<usize> = OnceLock::new();
+    let cores = || {
+        *CORES.get_or_init(|| {
+            std::thread::available_parallelism().map_or(8, std::num::NonZeroUsize::get)
+        })
+    };
+    let weights: Vec<usize> = jobs.iter().map(weight).collect();
+    let busy = weights.iter().filter(|&&w| w > 0).count();
+    let threads = busy.min(threads.unwrap_or_else(cores).max(1));
     if threads <= 1 {
         return jobs.into_iter().map(work).collect();
     }
     let mut queue: Vec<usize> = (0..jobs.len()).collect();
-    queue.sort_by_key(|&i| (std::cmp::Reverse(weight(&jobs[i])), i));
+    queue.sort_by_key(|&i| (std::cmp::Reverse(weights[i]), i));
     let cells: Vec<Mutex<Option<J>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
     let next = AtomicUsize::new(0);
+    let steal = || {
+        let mut out = Vec::new();
+        while let Some(&i) = queue.get(next.fetch_add(1, Ordering::Relaxed)) {
+            let job = cells[i]
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .take()
+                .expect("every job is claimed once");
+            out.push((i, work(job)));
+        }
+        out
+    };
     let mut done: Vec<(usize, R)> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut out = Vec::new();
-                    while let Some(&i) = queue.get(next.fetch_add(1, Ordering::Relaxed)) {
-                        let job = cells[i]
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner)
-                            .take()
-                            .expect("every job is claimed once");
-                        out.push((i, work(job)));
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect()
+        let helpers: Vec<_> = (1..threads).map(|_| s.spawn(steal)).collect();
+        let mut done = steal();
+        for h in helpers {
+            done.extend(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+        }
+        done
     });
     done.sort_unstable_by_key(|&(i, _)| i);
     done.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Shard `k`'s view of a globally-formed window: the same span, holding
-/// only the tasks and workers whose locations the cell owns. Relative
-/// event order is preserved.
-fn project_window(window: &Window, partition: &GridPartition, k: usize) -> Window {
-    Window {
-        index: window.index,
-        start: window.start,
-        end: window.end,
-        tasks: window
-            .tasks
-            .iter()
-            .filter(|t| partition.shard_of(&t.task.location) == k)
-            .copied()
-            .collect(),
-        workers: window
-            .workers
-            .iter()
-            .filter(|w| partition.shard_of(&w.worker.location) == k)
-            .copied()
-            .collect(),
+/// Every shard's view of a globally-formed window, indexed by shard:
+/// the same span, holding only the tasks and workers whose locations
+/// the cell owns. Relative event order is preserved.
+fn split_window(window: &Window, partition: &GridPartition) -> Vec<Window> {
+    let mut parts: Vec<Window> = (0..partition.n_shards())
+        .map(|_| Window {
+            index: window.index,
+            start: window.start,
+            end: window.end,
+            tasks: Vec::new(),
+            workers: Vec::new(),
+        })
+        .collect();
+    for t in &window.tasks {
+        parts[partition.shard_of(&t.task.location)].tasks.push(*t);
     }
+    for w in &window.workers {
+        parts[partition.shard_of(&w.worker.location)]
+            .workers
+            .push(*w);
+    }
+    parts
 }
 
 /// One durable sharded session over a spatial partition, fed events one
@@ -236,14 +248,15 @@ fn project_window(window: &Window, partition: &GridPartition, k: usize) -> Windo
 /// push-all-then-close over it).
 ///
 /// `push(event)` routes by the entity's location, `advance_to(t)`
-/// declares the global event-time watermark (shards step one after
-/// another), and `close()` settles the per-shard [`ShardedReport`]. Like
+/// declares the global event-time watermark (drop-pairs shards step in
+/// parallel), and `close()` settles the per-shard [`ShardedReport`]. Like
 /// [`StreamSession`](crate::StreamSession), a mid-run session can be
 /// captured with [`snapshot`](Self::snapshot) and reopened with
 /// [`restore`](Self::restore). The execution mode follows strategy and
 /// policy: independent per-shard sessions for static drop-pairs
-/// policies (closed in parallel, heaviest shard first), one lockstep
-/// windower for adaptive drop-pairs, and the halo coordinator for
+/// policies (advanced and closed in parallel, heaviest shard first), one
+/// lockstep windower for adaptive drop-pairs (its shards stepped in
+/// parallel each window), and the halo coordinator for
 /// [`ShardStrategy::Halo`].
 ///
 /// The typed per-event outcome log is a flat-session feature; the
@@ -292,8 +305,9 @@ pub struct ShardedSession<'e, 'p> {
     watermark: f64,
     task_ids: Interner,
     worker_ids: Interner,
-    /// Thread bound for the parallel close (`None` = one per core).
-    /// Results do not depend on it; only the pool-size tests set it.
+    /// Thread bound for the drop-pairs pool calls of `advance_to` and
+    /// `close` (`None` = one per core). Results do not depend on it;
+    /// only the pool-size tests set it.
     threads: Option<usize>,
     /// `None` once closed.
     mode: Option<Mode<'e>>,
@@ -309,9 +323,8 @@ enum Mode<'e> {
     PerShard {
         shards: Vec<StreamSession<'e>>,
         /// Arrival-checked events routed to each shard and not yet
-        /// pushed into it. They move in at the next `advance_to`, or
-        /// inside the shard's parallel job at `close`, so a
-        /// push-then-close run pushes its shards in parallel.
+        /// pushed into it. They move in inside the shard's parallel job
+        /// at the next `advance_to` or at `close`.
         inbox: Vec<Vec<ArrivalEvent>>,
         max_event_time: f64,
     },
@@ -441,17 +454,25 @@ impl<'e, 'p> ShardedSession<'e, 'p> {
         match mode {
             Mode::PerShard { shards, inbox, .. } => {
                 // Only shards that received input are watermarked: empty
-                // cells close to empty reports.
-                for (s, pending) in shards.iter_mut().zip(inbox) {
+                // cells close to empty reports. The shards share no
+                // state, so they take in their inboxes and step in
+                // parallel, weighted as at close.
+                let jobs: Vec<_> = shards
+                    .iter_mut()
+                    .zip(inbox)
+                    .filter(|(s, pending)| s.arrivals() > 0 || !pending.is_empty())
+                    .collect();
+                let weight = |(s, pending): &(&mut StreamSession, &mut Vec<ArrivalEvent>)| {
+                    s.arrivals() + pending.len()
+                };
+                parallel_map(jobs, weight, self.threads, |(s, pending)| {
                     pending.drain(..).for_each(|e| s.push(e));
-                    if s.arrivals() > 0 {
-                        s.advance_to(t);
-                    }
-                }
+                    s.advance_to(t);
+                });
             }
             Mode::Lockstep { former, .. } | Mode::Halo { former, .. } => former.advance(t),
         }
-        mode.drive_global(self.partition, false);
+        mode.drive_global(self.partition, false, self.threads);
     }
 
     /// Drives every remaining window in every shard (trailing empties
@@ -459,7 +480,7 @@ impl<'e, 'p> ShardedSession<'e, 'p> {
     /// twice.
     pub fn close(&mut self) -> ShardedReport {
         let mut mode = self.mode.take().expect("close on a closed session");
-        mode.drive_global(self.partition, true);
+        mode.drive_global(self.partition, true, self.threads);
         match mode {
             Mode::PerShard {
                 shards,
@@ -621,7 +642,7 @@ impl<'e, 'p> ShardedSession<'e, 'p> {
                     cores: cores
                         .iter()
                         .map(|c| SessionCore::from_snapshot(engine, cfg.clone(), c))
-                        .collect(),
+                        .collect::<Result<_, _>>()?,
                     shard_tasks: shard_tasks.clone(),
                     shard_workers: shard_workers.clone(),
                 }
@@ -658,9 +679,11 @@ impl Mode<'_> {
     /// Drives every ready window of the global windower (`drain`: up to
     /// the covered span); the per-shard sessions drive themselves.
     /// Lockstep projects each window onto every shard, steps all cores
-    /// and feeds the merged signals back, so the adaptive cut sequence
-    /// equals the unsharded run's on shard-disjoint input bit for bit.
-    fn drive_global(&mut self, partition: &GridPartition, drain: bool) {
+    /// over the crate's pool (`threads` bounds it) and feeds the
+    /// signals, merged in shard order, back, so the adaptive cut
+    /// sequence equals the unsharded run's on shard-disjoint input bit
+    /// for bit.
+    fn drive_global(&mut self, partition: &GridPartition, drain: bool, threads: Option<usize>) {
         match self {
             Mode::PerShard { .. } => {}
             Mode::Lockstep {
@@ -671,16 +694,17 @@ impl Mode<'_> {
             } => {
                 while let Some(window) = former.next_ready(drain) {
                     let cut = former.last_decision;
-                    let signals: Vec<StepSignals> = cores
-                        .iter_mut()
-                        .enumerate()
-                        .map(|(k, core)| {
-                            let projected = project_window(&window, partition, k);
-                            shard_tasks[k] += projected.tasks.len();
-                            shard_workers[k] += projected.workers.len();
-                            core.step(&projected, cut)
-                        })
-                        .collect();
+                    let parts = split_window(&window, partition);
+                    for (k, part) in parts.iter().enumerate() {
+                        shard_tasks[k] += part.tasks.len();
+                        shard_workers[k] += part.workers.len();
+                    }
+                    let jobs: Vec<_> = cores.iter_mut().zip(parts).collect();
+                    let weight = |(core, part): &(&mut SessionCore, Window)| {
+                        core.live() + part.tasks.len() + part.workers.len()
+                    };
+                    let signals =
+                        parallel_map(jobs, weight, threads, |(core, part)| core.step(&part, cut));
                     former.observe(&StepSignals::merge(&signals));
                 }
             }
@@ -1079,6 +1103,105 @@ mod tests {
                     format!("{report:?}"),
                     rendered,
                     "pool {pool:?} rep {rep}: byte-level difference"
+                );
+            }
+        }
+    }
+
+    /// `json` with every window's `drive_time` zeroed: wall-clock
+    /// timing is the only part of a snapshot two runs may differ in.
+    fn zero_drive_times(json: &str) -> String {
+        let mut out = String::with_capacity(json.len());
+        let mut timing_lines = 0;
+        for line in json.lines() {
+            match line.split_once(": ") {
+                Some((key, value)) if timing_lines > 0 => {
+                    timing_lines -= 1;
+                    let comma = if value.ends_with(',') { "," } else { "" };
+                    out.push_str(&format!("{key}: 0{comma}"));
+                }
+                _ => {
+                    timing_lines = if line.trim_start().starts_with("\"drive_time\": {") {
+                        2
+                    } else {
+                        0
+                    };
+                    out.push_str(line);
+                }
+            }
+            out.push('\n');
+        }
+        out
+    }
+
+    /// `advance_to` steps the drop-pairs shards over the pool: driven at
+    /// every window boundary of the skewed hotspot stream, a `PerShard`
+    /// (time policy) and a `Lockstep` (adaptive policy) session report
+    /// and snapshot the same bytes for every pool size.
+    #[test]
+    fn parallel_advance_is_identical_across_pool_sizes() {
+        let stream = hotspot_stream();
+        let part = GridPartition::new(Aabb::from_extents(0.0, 0.0, 100.0, 100.0), 4, 4);
+        let width = 60.0;
+        let adaptive = crate::AdaptivePolicy {
+            base_width: width,
+            min_width: 15.0,
+            max_width: 240.0,
+            ..crate::AdaptivePolicy::default()
+        };
+        for policy in [
+            WindowPolicy::ByTime { width },
+            WindowPolicy::Adaptive(adaptive),
+        ] {
+            let cfg = StreamConfig {
+                policy,
+                ..StreamConfig::default()
+            };
+            let engine = Method::Puce.engine(&cfg.params);
+            let run = |threads: Option<usize>| {
+                let mut session = ShardedSession::new(
+                    engine.as_ref(),
+                    cfg.clone(),
+                    &part,
+                    ShardStrategy::DropPairs,
+                );
+                session.threads = threads;
+                let events = stream.events();
+                let mut boundary = 0.0;
+                let mut checkpoint = String::new();
+                for (i, &e) in events.iter().enumerate() {
+                    while boundary + width <= e.time() {
+                        boundary += width;
+                        session.advance_to(boundary);
+                    }
+                    if i == events.len() / 2 {
+                        checkpoint = zero_drive_times(&session.snapshot().to_json());
+                    }
+                    session.push(e);
+                }
+                (
+                    format!("{:?}", session.close().without_timing()),
+                    checkpoint,
+                )
+            };
+            let (reference, checkpoint) = run(Some(1));
+            assert!(
+                reference.contains("Assigned"),
+                "{policy:?}: nothing matched"
+            );
+            assert!(
+                checkpoint.contains("\"drive_time\""),
+                "{policy:?}: no window driven"
+            );
+            for pool in [Some(2), Some(8), None] {
+                let (report, snap) = run(pool);
+                assert_eq!(
+                    report, reference,
+                    "{policy:?} pool {pool:?}: report differs"
+                );
+                assert_eq!(
+                    snap, checkpoint,
+                    "{policy:?} pool {pool:?}: snapshot differs"
                 );
             }
         }

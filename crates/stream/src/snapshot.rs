@@ -36,7 +36,8 @@
 //! worker lifetime *across restarts*, and total spend is bit-identical
 //! to the run that never stopped.
 
-use crate::driver::StreamConfig;
+use crate::driver::{PendingTask, StreamConfig};
+use crate::event::{check_entity, ArrivalEvent, WorkerArrival};
 use crate::halo::HaloSnapshot;
 use crate::session::{CoreSnapshot, Outcome};
 use crate::shard::ShardStrategy;
@@ -301,6 +302,36 @@ impl ShardedSnapshot {
         }
         Ok(())
     }
+}
+
+/// Rejects the first carried entity that `push` would refuse (see
+/// [`check_entity`]) as [`SnapshotError::Malformed`]: a restored
+/// session holds only what a live one could have admitted.
+pub(crate) fn check_entities(
+    entities: impl IntoIterator<Item = ArrivalEvent>,
+) -> Result<(), SnapshotError> {
+    entities.into_iter().try_for_each(|e| {
+        check_entity(&e).map_err(|why| {
+            let kind = match e {
+                ArrivalEvent::Task(_) => "task",
+                ArrivalEvent::Worker(_) => "worker",
+            };
+            SnapshotError::Malformed(format!("{kind} {}: {why}", e.id()))
+        })
+    })
+}
+
+/// [`check_entities`] over a core's live sets: its pooled and serving
+/// workers and its pending and deferred tasks.
+pub(crate) fn check_live_entities<'a>(
+    workers: impl Iterator<Item = &'a WorkerArrival>,
+    tasks: impl Iterator<Item = &'a PendingTask>,
+) -> Result<(), SnapshotError> {
+    check_entities(
+        workers
+            .map(|&w| ArrivalEvent::Worker(w))
+            .chain(tasks.map(|p| ArrivalEvent::Task(p.arrival))),
+    )
 }
 
 /// Why a snapshot could not be restored.

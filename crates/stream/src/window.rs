@@ -17,7 +17,7 @@
 
 use crate::event::{ArrivalEvent, TaskArrival, WorkerArrival};
 use crate::metrics::{WindowCutDecision, WindowFeedback};
-use crate::snapshot::SnapshotError;
+use crate::snapshot::{check_entities, SnapshotError};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -495,6 +495,7 @@ impl Windower {
                 "windower buffer is not in stream order".to_string(),
             ));
         }
+        check_entities(snap.buffer.iter().copied())?;
         w.buffer = snap.buffer.clone();
         w.watermark = snap.watermark;
         w.next_start = snap.next_start;

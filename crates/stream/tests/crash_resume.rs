@@ -583,6 +583,100 @@ fn restore_rejects_an_out_of_range_windower_index() {
     ));
 }
 
+/// Regression: a snapshot entity that `push` would refuse (a negative
+/// radius, a NaN coordinate) used to restore with `Ok`, and its drain
+/// then hung or silently dropped or matched it. Restore rejects it as
+/// malformed. The fixture file itself stays untouched.
+#[test]
+fn restore_rejects_entities_that_push_refuses() {
+    let text = include_str!("fixtures/session_snapshot_v2.json");
+    let cfg = fixture_cfg();
+    let engine = Method::Puce.engine(&cfg.params);
+    for (from, to) in [
+        ("\"radius\": 30", "\"radius\": -30"),
+        ("\"x\": 20", "\"x\": \"NaN\""),
+    ] {
+        let tampered = text.replacen(from, to, 1);
+        assert_ne!(tampered, text, "the fixture no longer holds {from}");
+        let snap = SessionSnapshot::from_json(&tampered).expect("still a well-formed snapshot");
+        assert!(
+            matches!(
+                StreamSession::restore(engine.as_ref(), cfg.clone(), &snap),
+                Err(SnapshotError::Malformed(_))
+            ),
+            "{to} restored"
+        );
+    }
+}
+
+/// The same rejection for entities a session holds in its live sets
+/// (pool, pending, in service) rather than its windower buffer, in the
+/// flat session and every sharded mode.
+#[test]
+fn restore_rejects_bad_entities_in_live_sets_in_every_mode() {
+    // Worker 2 (x = 70, radius 28) arrives at t = 410, so by t = 700 its
+    // window has been driven and it sits in a live set.
+    let tampers = [
+        ("\"radius\": 28", "\"radius\": -28"),
+        ("\"x\": 70", "\"x\": \"NaN\""),
+    ];
+    let events = fixture_events();
+    let (pushed, crash_at) = (&events[..9], 700.0);
+    let part = GridPartition::new(Aabb::from_extents(0.0, 0.0, 100.0, 100.0), 2, 2);
+    let static_cfg = fixture_cfg();
+    let adaptive_cfg = cfg_for(policies()[2], ServiceModel::Fixed { secs: 350.0 }, 2.5);
+    let engine = Method::Puce.engine(&static_cfg.params);
+
+    let mut flat = StreamSession::new(engine.as_ref(), static_cfg.clone());
+    pushed.iter().for_each(|&e| flat.push(e));
+    flat.advance_to(crash_at);
+    let json = flat.snapshot().to_json();
+    for (from, to) in tampers {
+        let tampered = json.replace(from, to);
+        assert_ne!(tampered, json, "flat snapshot no longer holds {from}");
+        let snap = SessionSnapshot::from_json(&tampered).expect("still well-formed");
+        assert!(
+            matches!(
+                StreamSession::restore(engine.as_ref(), static_cfg.clone(), &snap),
+                Err(SnapshotError::Malformed(_))
+            ),
+            "flat: {to} restored"
+        );
+    }
+
+    for (cfg, strategy) in [
+        (&static_cfg, ShardStrategy::DropPairs),
+        (&adaptive_cfg, ShardStrategy::DropPairs),
+        (&static_cfg, ShardStrategy::Halo),
+    ] {
+        let mut s = ShardedSession::new(engine.as_ref(), cfg.clone(), &part, strategy);
+        pushed.iter().for_each(|&e| s.push(e));
+        s.advance_to(crash_at);
+        let json = s.snapshot().to_json();
+        let restore = |text: &str| {
+            let snap = ShardedSnapshot::from_json(text).expect("still well-formed");
+            ShardedSession::restore(engine.as_ref(), cfg.clone(), &part, strategy, &snap).err()
+        };
+        assert_eq!(
+            restore(&json),
+            None,
+            "{strategy:?}: untampered must restore"
+        );
+        for (from, to) in tampers {
+            let tampered = json.replace(from, to);
+            assert_ne!(
+                tampered, json,
+                "{strategy:?}: snapshot no longer holds {from}"
+            );
+            assert!(
+                matches!(restore(&tampered), Some(SnapshotError::Malformed(_))),
+                "{strategy:?} {:?}: {to} restored",
+                cfg.policy
+            );
+        }
+    }
+}
+
 /// The (matched, expired, pending) triple the fixture scenario drains
 /// to — pinned when the fixture was committed.
 fn pinned_fixture_fates() -> (usize, usize, usize) {
