@@ -556,11 +556,6 @@ impl<'e> SessionCore<'e> {
         }
     }
 
-    /// Entities the core holds: pool, pending, deferred and in service.
-    pub(crate) fn live(&self) -> usize {
-        self.pool.len() + self.pending.len() + self.deferred.len() + self.in_service.len()
-    }
-
     /// Drains the outcome log accumulated since the last drain.
     pub(crate) fn drain_outcomes(&mut self) -> Vec<Outcome> {
         self.outcomes.drain(..).collect()

@@ -19,9 +19,9 @@
 //!
 //! There is one execution path: [`run_sharded`] pushes a whole stream
 //! into a [`ShardedSession`] and closes it. Shard jobs fan out over the
-//! crate's one thread pool (`parallel_map`), used by the drop-pairs
-//! `advance_to` and close and by the halo coordinator's reconciliation
-//! passes.
+//! crate's one thread pool (`parallel_map`), used by the static-policy
+//! drop-pairs `advance_to` and close and by the halo coordinator's
+//! reconciliation passes.
 
 use crate::driver::StreamConfig;
 use crate::event::{check_arrival, ArrivalEvent, ArrivalStream};
@@ -248,15 +248,15 @@ fn split_window(window: &Window, partition: &GridPartition) -> Vec<Window> {
 /// push-all-then-close over it).
 ///
 /// `push(event)` routes by the entity's location, `advance_to(t)`
-/// declares the global event-time watermark (drop-pairs shards step in
-/// parallel), and `close()` settles the per-shard [`ShardedReport`]. Like
+/// declares the global event-time watermark (static-policy drop-pairs
+/// shards step in parallel), and `close()` settles the per-shard [`ShardedReport`]. Like
 /// [`StreamSession`](crate::StreamSession), a mid-run session can be
 /// captured with [`snapshot`](Self::snapshot) and reopened with
 /// [`restore`](Self::restore). The execution mode follows strategy and
 /// policy: independent per-shard sessions for static drop-pairs
 /// policies (advanced and closed in parallel, heaviest shard first), one
-/// lockstep windower for adaptive drop-pairs (its shards stepped in
-/// parallel each window), and the halo coordinator for
+/// lockstep windower for adaptive drop-pairs (its shards stepped one
+/// after another each window), and the halo coordinator for
 /// [`ShardStrategy::Halo`].
 ///
 /// The typed per-event outcome log is a flat-session feature; the
@@ -472,7 +472,7 @@ impl<'e, 'p> ShardedSession<'e, 'p> {
             }
             Mode::Lockstep { former, .. } | Mode::Halo { former, .. } => former.advance(t),
         }
-        mode.drive_global(self.partition, false, self.threads);
+        mode.drive_global(self.partition, false);
     }
 
     /// Drives every remaining window in every shard (trailing empties
@@ -480,7 +480,7 @@ impl<'e, 'p> ShardedSession<'e, 'p> {
     /// twice.
     pub fn close(&mut self) -> ShardedReport {
         let mut mode = self.mode.take().expect("close on a closed session");
-        mode.drive_global(self.partition, true, self.threads);
+        mode.drive_global(self.partition, true);
         match mode {
             Mode::PerShard {
                 shards,
@@ -679,11 +679,9 @@ impl Mode<'_> {
     /// Drives every ready window of the global windower (`drain`: up to
     /// the covered span); the per-shard sessions drive themselves.
     /// Lockstep projects each window onto every shard, steps all cores
-    /// over the crate's pool (`threads` bounds it) and feeds the
-    /// signals, merged in shard order, back, so the adaptive cut
-    /// sequence equals the unsharded run's on shard-disjoint input bit
-    /// for bit.
-    fn drive_global(&mut self, partition: &GridPartition, drain: bool, threads: Option<usize>) {
+    /// and feeds the merged signals back, so the adaptive cut sequence
+    /// equals the unsharded run's on shard-disjoint input bit for bit.
+    fn drive_global(&mut self, partition: &GridPartition, drain: bool) {
         match self {
             Mode::PerShard { .. } => {}
             Mode::Lockstep {
@@ -694,17 +692,16 @@ impl Mode<'_> {
             } => {
                 while let Some(window) = former.next_ready(drain) {
                     let cut = former.last_decision;
-                    let parts = split_window(&window, partition);
-                    for (k, part) in parts.iter().enumerate() {
-                        shard_tasks[k] += part.tasks.len();
-                        shard_workers[k] += part.workers.len();
-                    }
-                    let jobs: Vec<_> = cores.iter_mut().zip(parts).collect();
-                    let weight = |(core, part): &(&mut SessionCore, Window)| {
-                        core.live() + part.tasks.len() + part.workers.len()
-                    };
-                    let signals =
-                        parallel_map(jobs, weight, threads, |(core, part)| core.step(&part, cut));
+                    let signals: Vec<StepSignals> = cores
+                        .iter_mut()
+                        .zip(split_window(&window, partition))
+                        .enumerate()
+                        .map(|(k, (core, part))| {
+                            shard_tasks[k] += part.tasks.len();
+                            shard_workers[k] += part.workers.len();
+                            core.step(&part, cut)
+                        })
+                        .collect();
                     former.observe(&StepSignals::merge(&signals));
                 }
             }
@@ -1134,24 +1131,18 @@ mod tests {
         out
     }
 
-    /// `advance_to` steps the drop-pairs shards over the pool: driven at
-    /// every window boundary of the skewed hotspot stream, a `PerShard`
-    /// (time policy) and a `Lockstep` (adaptive policy) session report
-    /// and snapshot the same bytes for every pool size.
+    /// `advance_to` steps the static-policy drop-pairs shards over the
+    /// pool: driven at every window boundary of the skewed hotspot
+    /// stream, a time-policy and a count-policy session report and
+    /// snapshot the same bytes for every pool size.
     #[test]
     fn parallel_advance_is_identical_across_pool_sizes() {
         let stream = hotspot_stream();
         let part = GridPartition::new(Aabb::from_extents(0.0, 0.0, 100.0, 100.0), 4, 4);
         let width = 60.0;
-        let adaptive = crate::AdaptivePolicy {
-            base_width: width,
-            min_width: 15.0,
-            max_width: 240.0,
-            ..crate::AdaptivePolicy::default()
-        };
         for policy in [
             WindowPolicy::ByTime { width },
-            WindowPolicy::Adaptive(adaptive),
+            WindowPolicy::ByCount { tasks: 8 },
         ] {
             let cfg = StreamConfig {
                 policy,

@@ -13,16 +13,16 @@
 //!   The oracle is the set of cross-path equivalences that were pinned
 //!   *before* interning landed: drain ≡ push-session, flat ≡ sharded
 //!   on shard-disjoint input, repeat ≡ first run.
-//! * **parallel close ≡ window-by-window advance** — a drop-pairs
-//!   sharded session that is pushed whole and closed (populated shards
-//!   drain concurrently on the work-stealing pool) reports exactly what
-//!   the same session reports when `advance_to` drives every window as
-//!   time passes.
-//! * **parallel advance ≡ serial stepping** — `advance_to` steps the
-//!   shards over the same pool; a window-by-window run reports what a
-//!   run whose every pool call has one busy shard (and so runs on the
-//!   caller's thread) reports. (Pool-size invariance is a unit test
-//!   beside the pool, which owns its private thread count.)
+//! * **parallel close ≡ window-by-window advance ≡ serial stepping** —
+//!   a drop-pairs sharded session that is pushed whole and closed
+//!   (populated shards drain concurrently on the work-stealing pool)
+//!   reports exactly what the same session reports when `advance_to`
+//!   drives every window as time passes (shards stepped over the same
+//!   pool), and under time and count policies each of its shards
+//!   reports what a session fed only that cell's events reports, whose
+//!   every pool call runs on the caller's thread. (Pool-size invariance
+//!   is a unit test beside the pool, which owns its private thread
+//!   count.)
 //! * **wire-format stability** — the committed v1 session snapshot
 //!   still parses and round-trips byte-identically, and snapshots key
 //!   everything by *logical* id: intern symbols (first-insertion
@@ -293,7 +293,11 @@ proptest! {
 
     // The parallel close is invisible: pushing a whole stream and
     // closing reports exactly what the same session reports when
-    // `advance_to` drives every window as the events go past.
+    // `advance_to` drives every window as the events go past. So is the
+    // parallel `advance_to`: under time and count policies each shard
+    // of that window-by-window run reports what a session fed only its
+    // cell's events reports, and there every pool call has one busy
+    // shard and runs on the caller's thread.
     #[test]
     fn parallel_close_matches_sequential_advance(
         tasks in proptest::collection::vec(
@@ -307,62 +311,16 @@ proptest! {
             .collect();
         let stream = clustered_stream(&tasks, &workers);
         let part = partition();
-        for policy in [
-            WindowPolicy::ByTime { width: 200.0 },
-            WindowPolicy::Adaptive(AdaptivePolicy::default()),
-        ] {
-            let cfg = StreamConfig { policy, ..StreamConfig::default() };
-            for method in [Method::Grd, Method::Puce] {
-                let engine = method.engine(&cfg.params);
-                let closed = run_sharded(
-                    engine.as_ref(), &stream, &cfg, &part, ShardStrategy::DropPairs);
-                let mut session = ShardedSession::new(
-                    engine.as_ref(), cfg.clone(), &part, ShardStrategy::DropPairs);
-                for &e in stream.events() {
-                    session.push(e);
-                    session.advance_to(e.time());
-                }
-                let advanced = session.close();
-                prop_assert_eq!(
-                    closed.without_timing(), advanced.without_timing(),
-                    "{}/{:?}: parallel close diverged from advance_to", method, policy
-                );
-            }
-        }
-    }
-
-    // Parallel `advance_to` is invisible: a drop-pairs session driven
-    // window by window, with its shards stepped over the pool, reports
-    // what serial stepping reports. The pool size is private, so the
-    // serial run is built from calls the pool runs on the caller's
-    // thread: under time and count policies, one session per cell fed
-    // only that cell's events (one busy shard per call); under the
-    // adaptive lockstep, the flat session on this shard-disjoint input.
-    #[test]
-    fn parallel_advance_matches_serial_stepping(
-        tasks in proptest::collection::vec(
-            (0usize..4, 0.0f64..1.0, 0.0f64..1.0, 0.0f64..900.0), 4..24),
-        raw_workers in proptest::collection::vec(
-            ((0usize..4, 0.0f64..1.0, 0.0f64..1.0), (1.0f64..10.0, 0.0f64..600.0)), 3..12),
-    ) {
-        let workers: Vec<(usize, f64, f64, f64, f64)> = raw_workers
-            .iter()
-            .map(|&((cell, fx, fy), (r, t))| (cell, fx, fy, r, t))
-            .collect();
-        let stream = clustered_stream(&tasks, &workers);
-        let part = partition();
-        // Every run advances to every event time, so each window is
-        // driven as soon as the watermark closes it.
         let advanced = |engine: &dyn dpta_core::AssignmentEngine,
                         cfg: &StreamConfig,
                         cell: Option<usize>| {
             let mut session =
                 ShardedSession::new(engine, cfg.clone(), &part, ShardStrategy::DropPairs);
             for &e in stream.events() {
-                session.advance_to(e.time());
                 if cell.is_none_or(|k| part.shard_of(&event_location(&e)) == k) {
                     session.push(e);
                 }
+                session.advance_to(e.time());
             }
             session.close().without_timing()
         };
@@ -370,32 +328,20 @@ proptest! {
             let cfg = StreamConfig { policy, ..StreamConfig::default() };
             for method in [Method::Grd, Method::Puce] {
                 let engine = method.engine(&cfg.params);
-                let parallel = advanced(engine.as_ref(), &cfg, None);
+                let closed = run_sharded(
+                    engine.as_ref(), &stream, &cfg, &part, ShardStrategy::DropPairs);
+                let advanced_all = advanced(engine.as_ref(), &cfg, None);
+                prop_assert_eq!(
+                    &closed.without_timing(), &advanced_all,
+                    "{}/{:?}: parallel close diverged from advance_to", method, policy
+                );
                 if let WindowPolicy::Adaptive(_) = policy {
-                    let (flat, _) = run_push_session(engine.as_ref(), &cfg, &stream);
-                    prop_assert_eq!(
-                        merge_fates(&parallel), flat.fates.clone(),
-                        "{}/{:?}: lockstep fates diverged from serial", method, policy
-                    );
-                    assert_spend_close(
-                        &merge_spend(&parallel), &flat.spend_by_worker, 1e-9,
-                        &format!("{method}/{policy:?} lockstep"),
-                    );
-                    let cuts = |r: &dpta_stream::StreamReport| -> Vec<_> {
-                        r.windows
-                            .iter()
-                            .map(|w| (w.start.to_bits(), w.end.to_bits(), w.cut))
-                            .collect()
-                    };
-                    for shard in &parallel.shards {
-                        prop_assert_eq!(cuts(shard), cuts(&flat), "{}: lockstep cuts diverged", method);
-                    }
                     continue;
                 }
                 for k in 0..part.n_shards() {
                     let serial = advanced(engine.as_ref(), &cfg, Some(k));
                     prop_assert_eq!(
-                        &parallel.shards[k], &serial.shards[k],
+                        &advanced_all.shards[k], &serial.shards[k],
                         "{}/{:?}: shard {} diverged from serial stepping", method, policy, k
                     );
                 }
