@@ -1,13 +1,14 @@
 //! Budget-ledger drain cost — wall time for the push-based
 //! `StreamSession` to drain a bursty arrival stream under each
-//! accounting policy: lifetime (`CumulativeAccountant`) vs the
-//! sliding-window ledger (`WindowedAccountant`, with the pacing
-//! controller on). The windowed ledger stamps every charge and pops
-//! aged entries at each window cut, so this is where a regression in
-//! the reclamation path or the per-window EMA update would surface.
+//! accounting policy of the one `BudgetLedger`: lifetime (`W = ∞`,
+//! no charge stamped, the clock only set) vs a 900 s sliding window,
+//! with and without the pacing controller. The windowed ledger stamps
+//! every charge and pops aged entries at each window cut, so this is
+//! where a regression in the reclamation path, the inherent
+//! per-proposal charge path or the per-window EMA update would surface.
 //!
-//! Tracked by `bench_gate` in `BENCH_stream.json` from the budget
-//! economics redesign onward.
+//! Gated by `bench_gate` against its `windowed_ledger` group in
+//! `BENCH_stream.json`, like the other streaming benches.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dpta_core::Method;

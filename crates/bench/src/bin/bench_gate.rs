@@ -1,9 +1,10 @@
 //! The CI bench-trajectory gate.
 //!
-//! Runs the five streaming benches (`time_to_drain`, `halo_sharding`,
-//! `adaptive_window`, `reentry_drain`, `incremental_window`) with the
-//! criterion shim's machine-readable JSON output, assembles
-//! `BENCH_stream.json` (median ns per bench id), prints the derived
+//! Runs the six streaming benches (`time_to_drain`, `halo_sharding`,
+//! `adaptive_window`, `reentry_drain`, `incremental_window`,
+//! `windowed_ledger`) with the criterion shim's machine-readable JSON
+//! output, assembles `BENCH_stream.json` (median ns per bench id),
+//! prints the derived
 //! cost-ratio columns (halo/drop-pairs, adaptive/static,
 //! delta/scratch), and compares the fresh medians against the
 //! committed baseline at the repo root: any benchmark more than

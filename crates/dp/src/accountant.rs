@@ -9,7 +9,6 @@
 //! bound, so tests and examples can assert the theorem against the
 //! actual protocol trace.
 
-use crate::intern::FastMap;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -62,411 +61,16 @@ impl PrivacyLedger {
     }
 }
 
-/// Cumulative per-entity budget accounting across a stream of windows.
-///
-/// A [`PrivacyLedger`] audits one worker inside one protocol run; a
-/// `CumulativeAccountant` tracks *lifetime* budget depletion of many
-/// entities across successive runs — the streaming setting, where the
-/// same worker participates in window after window until the budget his
-/// lifetime capacity grants is gone and the pipeline retires him.
-/// Entities are keyed by caller-chosen `u64` ids (the stream's logical
-/// worker ids), not per-instance indices, so accounting survives the
-/// re-indexing every new window performs.
-///
-/// # Two-phase charging
-///
-/// [`charge`](Self::charge) records spend immediately. Coordinated
-/// runs — the streaming pipeline's cross-shard halo mode, where several
-/// shards publish on behalf of one worker inside one window — instead
-/// use the reserve/commit pair: every shard [`reserve`](Self::reserve)s
-/// the budget its publications would cost, reservations count against
-/// [`remaining`](Self::remaining) so later proposals see a depleted
-/// budget, and after cross-shard reconciliation the coordinator
-/// [`commit`](Self::commit)s (or [`rollback`](Self::rollback)s) each
-/// entity's pending total exactly once. Retirement
-/// ([`is_exhausted`](Self::is_exhausted) /
-/// [`drain_exhausted`](Self::drain_exhausted)) looks at *committed*
-/// spend only — a reservation can never retire anyone.
-///
-/// # Examples
-///
-/// ```
-/// use dpta_dp::CumulativeAccountant;
-///
-/// let mut acc = CumulativeAccountant::new();
-/// acc.register(7, 2.0); // worker 7 may spend ε = 2.0 over his lifetime
-/// acc.charge(7, 1.5);
-/// assert!(!acc.is_exhausted(7));
-/// assert!((acc.remaining(7) - 0.5).abs() < 1e-12);
-///
-/// // Two-phase: a reservation depletes `remaining` but not `spent`
-/// // until committed.
-/// acc.reserve(7, 0.5);
-/// assert_eq!(acc.remaining(7), 0.0);
-/// assert!((acc.spent(7) - 1.5).abs() < 1e-12);
-/// assert!((acc.commit(7) - 0.5).abs() < 1e-12);
-/// assert!(acc.is_exhausted(7));
-/// assert_eq!(acc.drain_exhausted(), vec![7]);
-/// assert!(acc.tracked().next().is_none());
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct CumulativeAccountant {
-    /// Logical id → slot in `slots`: the ledger's interning table.
-    /// One deterministic [`FastMap`] probe per lookup — no tree descent
-    /// and no SipHash on the hot per-window resolve/charge paths.
-    index: FastMap<u64, u32>,
-    /// Dense account storage; slots are never reused, a forgotten or
-    /// drained entity leaves a `None` tombstone so outstanding
-    /// [`AccountId`]s can never alias a different entity.
-    slots: Vec<Option<Account>>,
-    /// Live ids, ascending. Every public iteration (`tracked`,
-    /// `drain_exhausted`, `total_spent`, serialization) walks this
-    /// list, so observable ordering — including float summation order —
-    /// is identical to the historical id-sorted map storage. Kept
-    /// sorted eagerly: streaming registration is near-monotone in id,
-    /// so the common case is an O(1) push.
-    live: Vec<u64>,
-}
-
-/// One tracked entity: lifetime capacity, committed spend, and budget
-/// reserved by an in-flight window awaiting commit.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Account {
-    capacity: f64,
-    spent: f64,
-    reserved: f64,
-}
-
-/// A dense handle to one tracked entity, obtained from
-/// [`CumulativeAccountant::resolve`].
-///
-/// Hot per-proposal paths (budget guards, release charging) resolve a
-/// worker's logical id once per window and then use the `*_at` methods,
-/// which are plain vector lookups — no id hashing or tree descent per
-/// proposal. A handle stays valid until its entity is removed
-/// ([`forget`](CumulativeAccountant::forget) /
-/// [`drain_exhausted`](CumulativeAccountant::drain_exhausted)); after
-/// that, read accessors return zero (like unknown ids) and mutating
-/// accessors panic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct AccountId(u32);
-
-impl AccountId {
-    /// Wraps a dense slot index — shared with the sibling
-    /// [`WindowedAccountant`](crate::WindowedAccountant), which uses
-    /// the same tombstoned-slot layout and hands out interchangeable
-    /// handles.
-    pub(crate) fn from_slot(slot: u32) -> Self {
-        AccountId(slot)
-    }
-
-    /// The dense slot index this handle wraps.
-    pub(crate) fn slot(self) -> u32 {
-        self.0
-    }
-}
-
-impl CumulativeAccountant {
-    /// Creates an accountant tracking no entities.
-    ///
-    /// **Deprecation note:** pipeline code should no longer construct a
-    /// `CumulativeAccountant` directly. Build a
-    /// [`LedgerState`](crate::LedgerState) (for which lifetime
-    /// accounting is one policy next to the sliding-window
-    /// [`WindowedAccountant`](crate::WindowedAccountant)) and program
-    /// against the [`BudgetLedger`](crate::BudgetLedger) trait instead
-    /// — that is the path the stream session uses, and the only one
-    /// that supports budget renewal. Direct construction remains
-    /// supported for audits and tests of the paper's lifetime model.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn get(&self, id: u64) -> Option<&Account> {
-        let slot = *self.index.get(&id)?;
-        self.slots[slot as usize].as_ref()
-    }
-
-    fn get_mut(&mut self, id: u64) -> Option<&mut Account> {
-        let slot = *self.index.get(&id)?;
-        self.slots[slot as usize].as_mut()
-    }
-
-    /// Starts tracking `id` with the given lifetime budget capacity.
-    /// Re-registering an id keeps its spend and raises/lowers only the
-    /// capacity, so late capacity adjustments cannot reset history.
-    /// `capacity` may be `f64::INFINITY` for never-retiring entities.
-    pub fn register(&mut self, id: u64, capacity: f64) {
-        assert!(
-            capacity > 0.0 && !capacity.is_nan(),
-            "capacity must be positive, got {capacity}"
-        );
-        match self.get_mut(id) {
-            Some(a) => a.capacity = capacity,
-            None => {
-                let slot = self.slots.len() as u32;
-                self.slots.push(Some(Account {
-                    capacity,
-                    spent: 0.0,
-                    reserved: 0.0,
-                }));
-                self.index.insert(id, slot);
-                match self.live.last() {
-                    Some(&last) if last >= id => {
-                        let at = self.live.partition_point(|&x| x < id);
-                        self.live.insert(at, id);
-                    }
-                    _ => self.live.push(id),
-                }
-            }
-        }
-    }
-
-    /// The dense handle for `id`, if it is currently tracked. Resolve
-    /// once per window, then use [`charge_at`](Self::charge_at) /
-    /// [`remaining_at`](Self::remaining_at) and friends in per-proposal
-    /// loops.
-    pub fn resolve(&self, id: u64) -> Option<AccountId> {
-        let slot = *self.index.get(&id)?;
-        self.slots[slot as usize].as_ref().map(|_| AccountId(slot))
-    }
-
-    /// Charges `epsilon` (≥ 0) against `id`'s lifetime budget. Panics if
-    /// the id was never registered — silent accounting gaps are exactly
-    /// what this type exists to prevent.
-    pub fn charge(&mut self, id: u64, epsilon: f64) {
-        assert!(
-            epsilon.is_finite() && epsilon >= 0.0,
-            "charge must be finite and >= 0, got {epsilon}"
-        );
-        self.get_mut(id)
-            .unwrap_or_else(|| panic!("entity {id} was never registered"))
-            .spent += epsilon;
-    }
-
-    /// Handle counterpart of [`charge`](Self::charge); panics on a
-    /// stale handle.
-    pub fn charge_at(&mut self, at: AccountId, epsilon: f64) {
-        assert!(
-            epsilon.is_finite() && epsilon >= 0.0,
-            "charge must be finite and >= 0, got {epsilon}"
-        );
-        self.slots[at.0 as usize]
-            .as_mut()
-            .expect("stale account handle")
-            .spent += epsilon;
-    }
-
-    /// Reserves `epsilon` (≥ 0) against `id`'s lifetime budget without
-    /// committing it: [`remaining`](Self::remaining) shrinks at once,
-    /// [`spent`](Self::spent) moves only on [`commit`](Self::commit).
-    /// Panics if the id was never registered.
-    pub fn reserve(&mut self, id: u64, epsilon: f64) {
-        assert!(
-            epsilon.is_finite() && epsilon >= 0.0,
-            "reservation must be finite and >= 0, got {epsilon}"
-        );
-        self.get_mut(id)
-            .unwrap_or_else(|| panic!("entity {id} was never registered"))
-            .reserved += epsilon;
-    }
-
-    /// Handle counterpart of [`reserve`](Self::reserve); panics on a
-    /// stale handle.
-    pub fn reserve_at(&mut self, at: AccountId, epsilon: f64) {
-        assert!(
-            epsilon.is_finite() && epsilon >= 0.0,
-            "reservation must be finite and >= 0, got {epsilon}"
-        );
-        self.slots[at.0 as usize]
-            .as_mut()
-            .expect("stale account handle")
-            .reserved += epsilon;
-    }
-
-    /// Budget currently reserved against `id` and awaiting commit (zero
-    /// for unknown ids).
-    pub fn reserved(&self, id: u64) -> f64 {
-        self.get(id).map_or(0.0, |a| a.reserved)
-    }
-
-    /// Converts `id`'s whole pending reservation into committed spend
-    /// and returns the amount. A no-op returning zero when nothing is
-    /// reserved; panics if the id was never registered.
-    pub fn commit(&mut self, id: u64) -> f64 {
-        let a = self
-            .get_mut(id)
-            .unwrap_or_else(|| panic!("entity {id} was never registered"));
-        let amount = a.reserved;
-        a.spent += amount;
-        a.reserved = 0.0;
-        amount
-    }
-
-    /// Discards `id`'s pending reservation (the publications never
-    /// happened) and returns the released amount. Zero for unknown ids.
-    pub fn rollback(&mut self, id: u64) -> f64 {
-        self.get_mut(id).map_or(0.0, |a| {
-            let amount = a.reserved;
-            a.reserved = 0.0;
-            amount
-        })
-    }
-
-    /// Cumulative committed spend of `id` (zero for unknown ids).
-    pub fn spent(&self, id: u64) -> f64 {
-        self.get(id).map_or(0.0, |a| a.spent)
-    }
-
-    /// Handle counterpart of [`spent`](Self::spent); zero for stale
-    /// handles.
-    pub fn spent_at(&self, at: AccountId) -> f64 {
-        self.slots[at.0 as usize].map_or(0.0, |a| a.spent)
-    }
-
-    /// Remaining lifetime budget of `id` (zero for unknown ids), net of
-    /// both committed spend and pending reservations, clamped at zero.
-    pub fn remaining(&self, id: u64) -> f64 {
-        self.get(id)
-            .map_or(0.0, |a| (a.capacity - a.spent - a.reserved).max(0.0))
-    }
-
-    /// Handle counterpart of [`remaining`](Self::remaining); zero for
-    /// stale handles.
-    pub fn remaining_at(&self, at: AccountId) -> f64 {
-        self.slots[at.0 as usize].map_or(0.0, |a| (a.capacity - a.spent - a.reserved).max(0.0))
-    }
-
-    /// Whether `id` has spent its whole capacity (unknown ids count as
-    /// exhausted — they have nothing left to spend).
-    pub fn is_exhausted(&self, id: u64) -> bool {
-        self.get(id).is_none_or(|a| {
-            // Tolerance mirrors the ledger-vs-board float comparisons.
-            a.spent >= a.capacity - 1e-12
-        })
-    }
-
-    /// Removes and returns every exhausted entity, ascending by id —
-    /// the retirement step the stream driver runs after each window.
-    pub fn drain_exhausted(&mut self) -> Vec<u64> {
-        let mut gone = Vec::new();
-        let (index, slots) = (&mut self.index, &mut self.slots);
-        self.live.retain(|&id| {
-            let slot = *index.get(&id).expect("live id is indexed");
-            let exhausted = slots[slot as usize].is_some_and(|a| a.spent >= a.capacity - 1e-12);
-            if exhausted {
-                index.remove(&id);
-                slots[slot as usize] = None;
-                gone.push(id);
-            }
-            !exhausted
-        });
-        gone
-    }
-
-    /// Stops tracking `id` regardless of its state (e.g. a worker who
-    /// departed by being matched). Returns whether it was tracked.
-    pub fn forget(&mut self, id: u64) -> bool {
-        match self.index.remove(&id) {
-            Some(slot) => {
-                self.slots[slot as usize] = None;
-                let at = self.live.partition_point(|&x| x < id);
-                debug_assert_eq!(self.live.get(at), Some(&id));
-                self.live.remove(at);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Ids still tracked, ascending.
-    pub fn tracked(&self) -> impl Iterator<Item = u64> + '_ {
-        self.live.iter().copied()
-    }
-
-    /// Total spend across all tracked entities, summed ascending by id
-    /// (the float order every historical gate pinned).
-    pub fn total_spent(&self) -> f64 {
-        self.live
-            .iter()
-            .filter_map(|id| {
-                let slot = *self.index.get(id)?;
-                self.slots[slot as usize]
-            })
-            .map(|a| a.spent)
-            .sum()
-    }
-}
-
-/// Canonical form: one row per live entity, ascending by id, with the
-/// dense slot layout discarded. Restoring assigns fresh contiguous
-/// slots — safe because every observable behaviour (iteration order,
-/// retirement order, float summation order) goes through the id index,
-/// never the slot vector, and it makes snapshot → restore → snapshot
-/// idempotent regardless of how many tombstones the original
-/// accumulated.
-impl Serialize for CumulativeAccountant {
-    fn serialize_value(&self) -> serde::Value {
-        serde::Value::Array(
-            self.live
-                .iter()
-                .filter_map(|&id| {
-                    let slot = *self.index.get(&id)?;
-                    self.slots[slot as usize].map(|a| {
-                        serde::Value::Object(vec![
-                            ("id".to_string(), id.serialize_value()),
-                            ("capacity".to_string(), a.capacity.serialize_value()),
-                            ("spent".to_string(), a.spent.serialize_value()),
-                            ("reserved".to_string(), a.reserved.serialize_value()),
-                        ])
-                    })
-                })
-                .collect(),
-        )
-    }
-}
-
-impl Deserialize for CumulativeAccountant {
-    fn deserialize_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let rows = match v {
-            serde::Value::Array(rows) => rows,
-            other => return Err(serde::Error::expected("accountant row array", other)),
-        };
-        let mut acc = CumulativeAccountant::new();
-        for row in rows {
-            let field = |name: &str| {
-                row.get(name)
-                    .ok_or_else(|| serde::Error(format!("missing accountant field `{name}`")))
-            };
-            let id = u64::deserialize_value(field("id")?)?;
-            let account = Account {
-                capacity: f64::deserialize_value(field("capacity")?)?,
-                spent: f64::deserialize_value(field("spent")?)?,
-                reserved: f64::deserialize_value(field("reserved")?)?,
-            };
-            if account.capacity <= 0.0 || account.capacity.is_nan() {
-                return Err(serde::Error(format!(
-                    "accountant entity {id} has non-positive capacity"
-                )));
-            }
-            let slot = acc.slots.len() as u32;
-            acc.slots.push(Some(account));
-            if acc.index.insert(id, slot).is_some() {
-                return Err(serde::Error(format!("duplicate accountant entity {id}")));
-            }
-            acc.live.push(id);
-        }
-        // Canonical snapshots are already ascending; tolerate (and
-        // normalise) any historical ordering.
-        acc.live.sort_unstable();
-        Ok(acc)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BudgetLedger;
     use proptest::prelude::*;
+
+    /// The paper's lifetime accounting: a ledger with `W = ∞`.
+    fn lifetime() -> BudgetLedger {
+        BudgetLedger::new(f64::INFINITY)
+    }
 
     #[test]
     fn empty_ledger_has_zero_bound() {
@@ -506,7 +110,7 @@ mod tests {
 
     #[test]
     fn accountant_tracks_charges_and_retires() {
-        let mut acc = CumulativeAccountant::new();
+        let mut acc = lifetime();
         acc.register(1, 2.0);
         acc.register(2, 1.0);
         acc.register(3, f64::INFINITY);
@@ -532,7 +136,7 @@ mod tests {
 
     #[test]
     fn re_registering_keeps_spend() {
-        let mut acc = CumulativeAccountant::new();
+        let mut acc = lifetime();
         acc.register(5, 1.0);
         acc.charge(5, 0.9);
         acc.register(5, 10.0); // capacity raise must not reset history
@@ -542,7 +146,7 @@ mod tests {
 
     #[test]
     fn reserve_commit_rollback_round_trip() {
-        let mut acc = CumulativeAccountant::new();
+        let mut acc = lifetime();
         acc.register(4, 3.0);
         acc.charge(4, 1.0);
         acc.reserve(4, 0.5);
@@ -569,7 +173,7 @@ mod tests {
 
     #[test]
     fn reservations_never_retire() {
-        let mut acc = CumulativeAccountant::new();
+        let mut acc = lifetime();
         acc.register(1, 1.0);
         acc.reserve(1, 5.0);
         assert_eq!(acc.remaining(1), 0.0);
@@ -581,7 +185,7 @@ mod tests {
 
     #[test]
     fn handles_are_dense_aliases_of_ids() {
-        let mut acc = CumulativeAccountant::new();
+        let mut acc = lifetime();
         acc.register(40, 2.0);
         acc.register(41, 3.0);
         let h40 = acc.resolve(40).unwrap();
@@ -611,7 +215,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "stale account handle")]
     fn charging_a_stale_handle_panics() {
-        let mut acc = CumulativeAccountant::new();
+        let mut acc = lifetime();
         acc.register(1, 1.0);
         let h = acc.resolve(1).unwrap();
         acc.forget(1);
@@ -620,7 +224,7 @@ mod tests {
 
     #[test]
     fn drained_entities_release_their_handles() {
-        let mut acc = CumulativeAccountant::new();
+        let mut acc = lifetime();
         acc.register(8, 1.0);
         acc.register(9, 1.0);
         let h8 = acc.resolve(8).unwrap();
@@ -634,32 +238,31 @@ mod tests {
     #[test]
     #[should_panic(expected = "never registered")]
     fn reserving_unknown_id_panics() {
-        CumulativeAccountant::new().reserve(0, 0.5);
+        lifetime().reserve(0, 0.5);
     }
 
     #[test]
     #[should_panic(expected = "never registered")]
     fn charging_unknown_id_panics() {
-        CumulativeAccountant::new().charge(0, 0.5);
+        lifetime().charge(0, 0.5);
     }
 
     #[test]
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_panics() {
-        CumulativeAccountant::new().register(0, 0.0);
+        lifetime().register(0, 0.0);
     }
 
     #[test]
     fn accountant_round_trips_canonically() {
-        let mut acc = CumulativeAccountant::new();
+        let mut acc = lifetime();
         acc.register(7, f64::INFINITY);
         acc.register(2, 1.5);
         acc.register(9, 4.0);
         acc.charge(2, 0.5);
         acc.reserve(9, 1.25); // outstanding reservation must survive
         acc.forget(7); // leaves a slot tombstone
-        let back =
-            CumulativeAccountant::deserialize_value(&acc.serialize_value()).expect("round trip");
+        let back = BudgetLedger::deserialize_value(&acc.serialize_value()).expect("round trip");
         assert_eq!(back.tracked().collect::<Vec<_>>(), vec![2, 9]);
         assert_eq!(back.spent(2), acc.spent(2));
         assert_eq!(back.reserved(9), acc.reserved(9));
@@ -667,32 +270,34 @@ mod tests {
         // Canonical: a second round trip is value-identical.
         assert_eq!(back.serialize_value(), acc.serialize_value());
         // Infinite capacities survive exactly.
-        let mut inf = CumulativeAccountant::new();
+        let mut inf = lifetime();
         inf.register(1, f64::INFINITY);
-        let back = CumulativeAccountant::deserialize_value(&inf.serialize_value()).unwrap();
+        let back = BudgetLedger::deserialize_value(&inf.serialize_value()).unwrap();
         assert_eq!(back.remaining(1), f64::INFINITY);
     }
 
     #[test]
     fn accountant_rejects_malformed_rows() {
-        use serde::Value;
-        let dup = Value::Array(vec![
-            Value::Object(vec![
-                ("id".into(), Value::Number(1.0)),
-                ("capacity".into(), Value::Number(1.0)),
-                ("spent".into(), Value::Number(0.0)),
-                ("reserved".into(), Value::Number(0.0)),
-            ]);
-            2
-        ]);
-        assert!(CumulativeAccountant::deserialize_value(&dup).is_err());
-        let bad_cap = Value::Array(vec![Value::Object(vec![
-            ("id".into(), Value::Number(1.0)),
-            ("capacity".into(), Value::Number(0.0)),
-            ("spent".into(), Value::Number(0.0)),
-            ("reserved".into(), Value::Number(0.0)),
-        ])]);
-        assert!(CumulativeAccountant::deserialize_value(&bad_cap).is_err());
+        let doc = |rows: &str| format!(r#"{{"Lifetime":{{"accountant":[{rows}]}}}}"#);
+        let row = |capacity: &str, spent: &str, reserved: &str| {
+            format!(r#"{{"id":1,"capacity":{capacity},"spent":{spent},"reserved":{reserved}}}"#)
+        };
+        let read = |text: &str| {
+            BudgetLedger::deserialize_value(&serde_json::from_str(text).expect("test JSON parses"))
+        };
+        let good = row("1", "0.5", "0");
+        assert!(read(&doc(&good)).is_ok());
+        let cases = [
+            ("duplicate ids", doc(&format!("{good},{good}"))),
+            ("zero capacity", doc(&row("0", "0", "0"))),
+            ("negative spent", doc(&row("1", "-0.5", "0"))),
+            ("NaN spent", doc(&row("1", r#""NaN""#, "0"))),
+            ("negative reserved", doc(&row("1", "0", "-0.25"))),
+            ("infinite reserved", doc(&row("1", "0", r#""inf""#))),
+        ];
+        for (what, text) in cases {
+            assert!(read(&text).is_err(), "{what} was accepted: {text}");
+        }
     }
 
     proptest! {
@@ -700,7 +305,7 @@ mod tests {
         fn accountant_total_matches_per_entity(
             charges in proptest::collection::vec((0u64..6, 0.0f64..2.0), 0..40)
         ) {
-            let mut acc = CumulativeAccountant::new();
+            let mut acc = lifetime();
             for id in 0..6 {
                 acc.register(id, f64::INFINITY);
             }

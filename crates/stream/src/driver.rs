@@ -14,9 +14,9 @@
 //! the tasks waiting and the workers on duty; the engine drives it;
 //! matched tasks complete, unmatched tasks carry over until their
 //! time-to-live runs out, and a
-//! [`CumulativeAccountant`](dpta_dp::CumulativeAccountant) charges every
-//! worker's *lifetime* privacy budget, retiring workers the moment it
-//! is exhausted. Engines that support warm starts resume from the
+//! [`BudgetLedger`](dpta_dp::BudgetLedger) charges every worker's
+//! privacy budget — under the default lifetime accounting, retiring
+//! workers the moment it is exhausted. Engines that support warm starts resume from the
 //! carried protocol state (releases, consumed budget slots) per the
 //! [warm-start contract](AssignmentEngine#warm-start-contract);
 //! one-shot engines get a fresh board every window. Matched workers
@@ -301,12 +301,18 @@ pub enum LedgerMode {
 }
 
 impl LedgerMode {
-    /// Builds the matching ledger state, ready to account a stream.
-    pub fn state(self) -> dpta_dp::LedgerState {
+    /// The protection window this mode accounts under: `∞` for
+    /// lifetime accounting.
+    pub(crate) fn window(self) -> f64 {
         match self {
-            LedgerMode::Lifetime => dpta_dp::LedgerState::lifetime(),
-            LedgerMode::Windowed { window_secs } => dpta_dp::LedgerState::windowed(window_secs),
+            LedgerMode::Lifetime => f64::INFINITY,
+            LedgerMode::Windowed { window_secs } => window_secs,
         }
+    }
+
+    /// Builds the matching empty ledger, ready to account a stream.
+    pub fn state(self) -> dpta_dp::BudgetLedger {
+        dpta_dp::BudgetLedger::new(self.window())
     }
 }
 

@@ -88,11 +88,11 @@ use crate::session::{
     admit_tasks, refresh_pacing, retire_exhausted, waiting_ages, PaceState, StepSignals,
 };
 use crate::shard::parallel_map;
-use crate::snapshot::{check_live_entities, SnapshotError};
+use crate::snapshot::{check_ledger, check_live_entities, SnapshotError};
 use crate::window::Window;
 use dpta_core::board::LOCATION_RELEASE;
 use dpta_core::{AssignmentEngine, Board, DeltaInstance, Instance, RunOutcome};
-use dpta_dp::{BudgetLedger, FastMap, LedgerState, SeededNoise};
+use dpta_dp::{BudgetLedger, FastMap, SeededNoise};
 use dpta_matching::repair::PairComponents;
 use dpta_spatial::GridPartition;
 use dpta_workloads::budgets::BudgetGen;
@@ -253,7 +253,7 @@ pub(crate) struct HaloCore<'e> {
     /// the session stepper's rule, applied to the global backlog.
     deferred: VecDeque<PendingTask>,
     in_service: VecDeque<Serving>,
-    ledger: LedgerState,
+    ledger: BudgetLedger,
     /// Per-worker pacing state, maintained only under
     /// [`StreamConfig::pacing`].
     pace: BTreeMap<u32, PaceState>,
@@ -944,7 +944,8 @@ impl<'e> HaloCore<'e> {
     /// identical), and each shard's maintained instance is re-derived
     /// by inserting the pool and pending set in their maintained order,
     /// which equals the live coordinator's insertion order — so the
-    /// rebuilt instances emit bit-identically.
+    /// rebuilt instances emit bit-identically. A ledger whose window
+    /// disagrees with `cfg.ledger` is [`SnapshotError::Malformed`].
     pub(crate) fn from_snapshot(
         engine: &'e dyn AssignmentEngine,
         cfg: StreamConfig,
@@ -982,6 +983,7 @@ impl<'e> HaloCore<'e> {
                 .chain(snap.in_service.iter().map(|s| &s.worker)),
             snap.pending.iter().chain(&snap.deferred),
         )?;
+        check_ledger(&snap.ledger, &cfg)?;
         let mut core = HaloCore::new(engine, cfg, n_shards);
         core.shard_windows = snap.shard_windows.clone();
         core.shard_fates = snap.shard_fates.clone();
@@ -1047,7 +1049,7 @@ pub(crate) struct HaloSnapshot {
     pub(crate) pending: Vec<PendingTask>,
     pub(crate) deferred: VecDeque<PendingTask>,
     pub(crate) in_service: VecDeque<Serving>,
-    pub(crate) ledger: LedgerState,
+    pub(crate) ledger: BudgetLedger,
     pub(crate) pace: BTreeMap<u32, PaceState>,
     pub(crate) charged: ReleaseDedup,
     pub(crate) carried: Vec<Option<Carried>>,
@@ -1219,7 +1221,7 @@ fn prepare_run(
     delta: &DeltaInstance,
     carried: &Option<Carried>,
     warm: bool,
-    guard_from: Option<&LedgerState>,
+    guard_from: Option<&BudgetLedger>,
     pace_caps: Option<&BTreeMap<u32, f64>>,
     track_components: bool,
 ) -> Option<PreparedRun> {
@@ -1372,7 +1374,7 @@ fn drive_prepared(
 fn account_run(
     run: &ShardRun,
     charged: &mut ReleaseDedup,
-    ledger: &mut LedgerState,
+    ledger: &mut BudgetLedger,
     window_spend: &mut BTreeMap<u32, f64>,
     report: &mut WindowReport,
 ) {

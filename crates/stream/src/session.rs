@@ -31,9 +31,8 @@
 //! instead of departing for good (`ServiceModel::Never`, the
 //! serve-and-leave default), a matched worker is held in an in-service
 //! set and re-enters the pool at his completion time — with the same
-//! logical id, so lifetime budgets
-//! ([`CumulativeAccountant`](dpta_dp::CumulativeAccountant)), hard
-//! caps and replay determinism all carry across service cycles.
+//! logical id, so budgets ([`BudgetLedger`](dpta_dp::BudgetLedger)),
+//! hard caps and replay determinism all carry across service cycles.
 //! Durations are pure functions of the match (pickup distance, task
 //! value), never wall-clock time, so re-entry preserves bit-for-bit
 //! replay and the flat/drop-pairs/halo equivalence gates.
@@ -43,12 +42,14 @@ use crate::event::{check_arrival, ArrivalEvent, TaskArrival, WorkerArrival};
 use crate::metrics::{
     percentile, StreamReport, TaskFate, WindowCutDecision, WindowFeedback, WindowReport,
 };
-use crate::snapshot::{check_live_entities, SessionSnapshot, SnapshotError, SNAPSHOT_VERSION};
+use crate::snapshot::{
+    check_ledger, check_live_entities, SessionSnapshot, SnapshotError, SNAPSHOT_VERSION,
+};
 use crate::window::{Window, WindowPolicy, Windower};
 use dpta_core::board::LOCATION_RELEASE;
 use dpta_core::metrics::measure;
 use dpta_core::{AssignmentEngine, Board, DeltaInstance};
-use dpta_dp::{AccountId, BudgetLedger, FastMap, Interner, LedgerState, SeededNoise};
+use dpta_dp::{AccountId, BudgetLedger, FastMap, Interner, SeededNoise};
 use dpta_workloads::budgets::BudgetGen;
 use dpta_workloads::ValueModel;
 use serde::{Deserialize, Serialize};
@@ -345,7 +346,7 @@ pub(crate) struct SessionCore<'e> {
     deferred: VecDeque<PendingTask>,
     in_service: VecDeque<InService>,
     cycles: BTreeMap<u32, usize>,
-    ledger: LedgerState,
+    ledger: BudgetLedger,
     /// Per-worker pacing state (trailing burn-rate estimate), only
     /// maintained when [`StreamConfig::pacing`] is set.
     pace: BTreeMap<u32, PaceState>,
@@ -381,7 +382,7 @@ pub(crate) struct CoreSnapshot {
     pub(crate) deferred: VecDeque<PendingTask>,
     pub(crate) in_service: VecDeque<InService>,
     pub(crate) cycles: BTreeMap<u32, usize>,
-    pub(crate) ledger: LedgerState,
+    pub(crate) ledger: BudgetLedger,
     pub(crate) pace: BTreeMap<u32, PaceState>,
     pub(crate) carried: Option<CarriedBoard>,
     pub(crate) charged: ReleaseDedup,
@@ -414,7 +415,7 @@ pub(crate) struct PaceState {
 /// fresh arrival that is deferred.
 pub(crate) fn admit_tasks(
     cfg: &StreamConfig,
-    ledger: &LedgerState,
+    ledger: &BudgetLedger,
     pool: &[WorkerArrival],
     carried_in: usize,
     deferred: &mut VecDeque<PendingTask>,
@@ -459,9 +460,8 @@ pub(crate) fn admit_tasks(
 /// zero (window-`W` reclamation can shrink recorded spend, which is
 /// not negative burn). Shared by the session stepper and the halo
 /// coordinator.
-pub(crate) fn refresh_pacing(ledger: &LedgerState, pace: &mut BTreeMap<u32, PaceState>) {
-    let tracked = ledger.tracked_ids();
-    for &id in &tracked {
+pub(crate) fn refresh_pacing(ledger: &BudgetLedger, pace: &mut BTreeMap<u32, PaceState>) {
+    for id in ledger.tracked() {
         let spent = ledger.spent(id);
         let st = pace.entry(id as u32).or_insert(PaceState {
             last_spent: 0.0,
@@ -471,7 +471,7 @@ pub(crate) fn refresh_pacing(ledger: &LedgerState, pace: &mut BTreeMap<u32, Pace
         st.ema = 0.5 * st.ema + 0.5 * burned;
         st.last_spent = spent;
     }
-    pace.retain(|&id, _| tracked.binary_search(&u64::from(id)).is_ok());
+    pace.retain(|&id, _| ledger.resolve(u64::from(id)).is_some());
 }
 
 /// Seconds from arrival to window close of every task in `pending` —
@@ -495,7 +495,7 @@ pub(crate) fn waiting_ages(policy: &WindowPolicy, pending: &[PendingTask], end: 
 /// draw range's lower bound). Shared by the session stepper and the
 /// halo coordinator.
 pub(crate) fn retire_exhausted(
-    ledger: &mut LedgerState,
+    ledger: &mut BudgetLedger,
     pool: &[WorkerArrival],
     departed: &BTreeSet<u32>,
     capped: bool,
@@ -590,7 +590,8 @@ impl<'e> SessionCore<'e> {
     /// the pending set (tasks, in pending order) — the maintained order
     /// equals the live session's insertion order, so the rebuilt
     /// instance emission is bit-identical to the uninterrupted run's.
-    /// A carried entity that `push` would refuse is
+    /// A carried entity that `push` would refuse, or a ledger whose
+    /// window disagrees with `cfg.ledger`, is
     /// [`SnapshotError::Malformed`].
     pub(crate) fn from_snapshot(
         engine: &'e dyn AssignmentEngine,
@@ -603,6 +604,7 @@ impl<'e> SessionCore<'e> {
                 .chain(snap.in_service.iter().map(|s| &s.worker)),
             snap.pending.iter().chain(&snap.deferred),
         )?;
+        check_ledger(&snap.ledger, &cfg)?;
         let mut core = SessionCore::new(engine, cfg);
         core.pool = snap.pool.clone();
         core.pending = snap.pending.clone();

@@ -19,16 +19,28 @@
 //! [`SnapshotError::VersionMismatch`] rather than guessed at. Adding a
 //! *new* field with a restore-time default does not bump the version.
 //! A committed golden fixture pins the v2 wire format. (v2 replaced
-//! the bare accountant section with a tagged
-//! [`LedgerState`](dpta_dp::LedgerState) — lifetime or sliding-window
-//! — and added the deferred-task queue and pacing state; v1 snapshots
-//! are rejected with [`SnapshotError::VersionMismatch`].)
+//! the bare accountant section with a tagged ledger section —
+//! `Lifetime` or `Windowed` — and added the deferred-task queue and
+//! pacing state; v1 snapshots are rejected with
+//! [`SnapshotError::VersionMismatch`].)
+//!
+//! The ledger section is still v2 although one
+//! [`BudgetLedger`](dpta_dp::BudgetLedger) with a window field now
+//! replaces the two accountant types it was written for: the ledger
+//! writes `Lifetime` for an infinite window and `Windowed` otherwise,
+//! and reads both tags, including a `Windowed` tag with an infinite
+//! window (which a `Windowed { window_secs: ∞ }` session used to
+//! write and now writes as `Lifetime`). Every existing v2 snapshot
+//! therefore restores unchanged, and the golden fixture re-encodes
+//! byte for byte. A restored ledger whose window disagrees with the
+//! configured [`LedgerMode`](crate::LedgerMode) is
+//! [`SnapshotError::Malformed`].
 //!
 //! # Exactly-once across restart
 //!
 //! Snapshots are taken at window boundaries, where every privacy
 //! charge of the preceding window has already been committed to the
-//! serialized [`LedgerState`](dpta_dp::LedgerState)
+//! serialized [`BudgetLedger`](dpta_dp::BudgetLedger)
 //! and recorded in the serialized release-dedup set. A restored
 //! session therefore re-charges nothing: re-derived publications of
 //! already-charged releases are filtered by the dedup exactly as they
@@ -42,6 +54,7 @@ use crate::halo::HaloSnapshot;
 use crate::session::{CoreSnapshot, Outcome};
 use crate::shard::ShardStrategy;
 use crate::window::WindowerSnapshot;
+use dpta_dp::BudgetLedger;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, VecDeque};
 
@@ -319,6 +332,22 @@ pub(crate) fn check_entities(
             SnapshotError::Malformed(format!("{kind} {}: {why}", e.id()))
         })
     })
+}
+
+/// Rejects a restored ledger whose protection window disagrees with the
+/// configured [`LedgerMode`](crate::LedgerMode) (`Lifetime` is an
+/// infinite window) as [`SnapshotError::Malformed`]: the ledger section
+/// carries its own policy tag, and a mismatch would account the rest of
+/// the stream under a policy the configuration never chose.
+pub(crate) fn check_ledger(ledger: &BudgetLedger, cfg: &StreamConfig) -> Result<(), SnapshotError> {
+    let (held, configured) = (ledger.window(), cfg.ledger.window());
+    if held == configured {
+        Ok(())
+    } else {
+        Err(SnapshotError::Malformed(format!(
+            "ledger window {held} disagrees with the configured {configured}"
+        )))
+    }
 }
 
 /// [`check_entities`] over a core's live sets: its pooled and serving

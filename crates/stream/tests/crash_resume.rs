@@ -22,7 +22,7 @@ use dpta_core::{Method, Task, Worker};
 use dpta_spatial::{Aabb, GridPartition, Point};
 use dpta_stream::AdaptivePolicy;
 use dpta_stream::{
-    ArrivalEvent, ArrivalStream, Outcome, ServiceModel, SessionSnapshot, ShardStrategy,
+    ArrivalEvent, ArrivalStream, LedgerMode, Outcome, ServiceModel, SessionSnapshot, ShardStrategy,
     ShardedReport, ShardedSession, ShardedSnapshot, SnapshotError, StreamConfig, StreamReport,
     StreamSession, TaskArrival, WindowPolicy, WorkerArrival,
 };
@@ -675,6 +675,120 @@ fn restore_rejects_bad_entities_in_live_sets_in_every_mode() {
             );
         }
     }
+}
+
+/// Rewrites an empty `Lifetime` ledger section as a `Windowed` one
+/// with a one-second window, leaving the configuration untouched.
+fn empty_lifetime_ledger_to_windowed(json: &str) -> String {
+    let tampered = json
+        .replacen("\"Lifetime\": {", "\"Windowed\": {", 1)
+        .replacen(
+            "\"accountant\": []",
+            "\"accountant\": {\"window\": 1, \"now\": 0, \"accounts\": []}",
+            1,
+        );
+    assert_ne!(
+        tampered, json,
+        "the snapshot holds no empty Lifetime ledger"
+    );
+    tampered
+}
+
+/// A windowed twin of the fixture configuration (900 s ledger window).
+fn windowed_fixture_cfg() -> StreamConfig {
+    StreamConfig {
+        ledger: LedgerMode::Windowed { window_secs: 900.0 },
+        ..fixture_cfg()
+    }
+}
+
+/// Regression: the ledger section carries its own policy tag, and
+/// restore used to copy it without comparing it to the configuration —
+/// a `Windowed` ledger restored `Ok` under a `Lifetime` config and then
+/// drained with renewable semantics. A ledger whose window disagrees
+/// with the configured one is malformed, in either direction. The
+/// fixture file itself stays untouched.
+#[test]
+fn restore_rejects_a_ledger_whose_window_disagrees_with_the_config() {
+    let text = include_str!("fixtures/session_snapshot_v2.json");
+    let cfg = fixture_cfg();
+    let engine = Method::Puce.engine(&cfg.params);
+    let restore = |text: &str, cfg: &StreamConfig| {
+        let snap = SessionSnapshot::from_json(text).expect("still a well-formed snapshot");
+        StreamSession::restore(engine.as_ref(), cfg.clone(), &snap).err()
+    };
+    assert!(matches!(
+        restore(&empty_lifetime_ledger_to_windowed(text), &cfg),
+        Some(SnapshotError::Malformed(_))
+    ));
+
+    // The other direction: a windowed session whose ledger claims an
+    // infinite window (a `Windowed` tag `W = ∞` reads as lifetime).
+    let cfg = windowed_fixture_cfg();
+    let events = fixture_events();
+    let mut s = StreamSession::new(engine.as_ref(), cfg.clone());
+    events[..4].iter().for_each(|&e| s.push(e));
+    s.advance_to(events[3].time());
+    let json = s.snapshot().to_json();
+    assert_eq!(restore(&json, &cfg), None, "untampered must restore");
+    let tampered = json.replacen("\"window\": 900,", "\"window\": \"inf\",", 1);
+    assert_ne!(
+        tampered, json,
+        "the snapshot no longer holds a 900 s ledger"
+    );
+    assert!(matches!(
+        restore(&tampered, &cfg),
+        Some(SnapshotError::Malformed(_))
+    ));
+}
+
+/// The same rejection in the halo mode, whose coordinator restores its
+/// own ledger rather than a per-shard session's.
+#[test]
+fn halo_restore_rejects_a_ledger_whose_window_disagrees_with_the_config() {
+    let part = GridPartition::new(Aabb::from_extents(0.0, 0.0, 100.0, 100.0), 2, 2);
+    let events = fixture_events();
+    let engine = Method::Puce.engine(&fixture_cfg().params);
+    let restore = |text: &str, cfg: &StreamConfig| {
+        let snap = ShardedSnapshot::from_json(text).expect("still well-formed");
+        ShardedSession::restore(
+            engine.as_ref(),
+            cfg.clone(),
+            &part,
+            ShardStrategy::Halo,
+            &snap,
+        )
+        .err()
+    };
+
+    // Lifetime config, `Windowed` ledger: snapshot before any window
+    // has registered a worker, so the ledger section is empty.
+    let cfg = fixture_cfg();
+    let mut s = ShardedSession::new(engine.as_ref(), cfg.clone(), &part, ShardStrategy::Halo);
+    events[..2].iter().for_each(|&e| s.push(e));
+    let json = s.snapshot().to_json();
+    assert_eq!(restore(&json, &cfg), None, "untampered must restore");
+    assert!(matches!(
+        restore(&empty_lifetime_ledger_to_windowed(&json), &cfg),
+        Some(SnapshotError::Malformed(_))
+    ));
+
+    // 900 s config, 1 s ledger, mid-stream with charged workers.
+    let cfg = windowed_fixture_cfg();
+    let mut s = ShardedSession::new(engine.as_ref(), cfg.clone(), &part, ShardStrategy::Halo);
+    events[..9].iter().for_each(|&e| s.push(e));
+    s.advance_to(700.0);
+    let json = s.snapshot().to_json();
+    assert_eq!(restore(&json, &cfg), None, "untampered must restore");
+    let tampered = json.replacen("\"window\": 900,", "\"window\": 1,", 1);
+    assert_ne!(
+        tampered, json,
+        "the snapshot no longer holds a 900 s ledger"
+    );
+    assert!(matches!(
+        restore(&tampered, &cfg),
+        Some(SnapshotError::Malformed(_))
+    ));
 }
 
 /// The (matched, expired, pending) triple the fixture scenario drains

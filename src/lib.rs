@@ -122,8 +122,7 @@ pub mod prelude {
         AssignmentEngine, Board, Instance, Measures, Method, RunOutcome, RunParams, Task, Worker,
     };
     pub use dpta_dp::{
-        pcf, ppcf, BudgetLedger, BudgetVector, CumulativeAccountant, EffectivePair, LedgerState,
-        PrivacyLedger, SeededNoise, WindowedAccountant,
+        pcf, ppcf, BudgetLedger, BudgetVector, EffectivePair, PrivacyLedger, SeededNoise,
     };
     pub use dpta_matching::Assignment;
     pub use dpta_spatial::{Circle, GridPartition, Point};
